@@ -9,9 +9,10 @@ Four subcommands:
 
 Exit codes follow the verdicts: 0 valid (or verified, or oracle came up
 empty), 1 fails (or witness found), 2 budget exhausted, 3 for any parse
-or configuration problem.  decide defaults to capped mode, which never
-claims validity unless the candidate stream was provably exhausted; pass
---complete for a proof-strength run.
+or configuration problem, 4 for an internal error (its traceback goes to
+stderr; no verdict is reported).  decide defaults to capped mode, which
+never claims validity unless the candidate stream was provably exhausted;
+pass --complete for a proof-strength run.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from typing import Optional
 
 from . import decide, oracle, term
@@ -179,6 +181,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # refusal, unreadable or malformed witness files
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except Exception:
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

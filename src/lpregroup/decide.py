@@ -146,8 +146,26 @@ class Verdict:
 
 # ------------------------------------------------------------- realization
 
-def _vars_of(eq: IntensionalEquation) -> list[str]:
-    return sorted({name for w in eq.joinands for name, _ in w})
+def _check_realized(eq: IntensionalEquation, fns, p, ev, want_at
+                    ) -> tuple[tuple[str, FnPoint], ...]:
+    """Evaluate every final subword of every joinand at p under the
+    realized functions and compare with the diagram's value want_at(point);
+    each joinand must land strictly below p.  A mismatch is an internal
+    error, not an input condition.  Returns the joinand evaluations."""
+    checked = []
+    for w in eq.joinands:
+        # innermost subword first, so got ends on the whole joinand
+        for k in reversed(range(len(w) + 1)):
+            got = ev(w[k:], fns, p)
+            want = want_at(point_of_word(w[k:]))
+            if got != want:
+                raise AssertionError(
+                    f"realized functions disagree with diagram at {w[k:]}: "
+                    f"{got} != {want}")
+        if not got < p:
+            raise AssertionError(f"joinand {word_str(w)} not below the point")
+        checked.append((word_str(w), got))
+    return tuple(checked)
 
 
 def realize_fnz_witness(phi: CompatibleSurjection, e: SpacingEmbedding,
@@ -158,25 +176,15 @@ def realize_fnz_witness(phi: CompatibleSurjection, e: SpacingEmbedding,
     Each variable's counterpart pairs are pushed through the embedding and
     extended periodically; variables with no pairs get the identity.  The
     evaluations are then checked against the diagram, final subword by
-    final subword; a mismatch is an internal error, not an input
-    condition."""
+    final subword."""
     fns = {}
-    for name in _vars_of(eq):
+    for name in term.variables_of([eq]):
         pairs = {e(x): e(y) for x, y in phi.fn(name).pairs}
         fns[name] = fnz.extend_partial(pairs, n, permissive=True)
     p = e(phi.value(()))
-    checked = []
-    for w in eq.joinands:
-        for k in range(len(w) + 1):
-            got = fnz.eval_word(w[k:], fns, p)
-            want = e(phi.value(point_of_word(w[k:])))
-            assert got == want, \
-                f"realized functions disagree with diagram at {w[k:]}: " \
-                f"{got} != {want}"
-        v = fnz.eval_word(w, fns, p)
-        assert v < p, f"joinand {word_str(w)} not below the point"
-        checked.append((word_str(w), v))
-    return Witness("FnZ", n, fns, p, 0, tuple(checked))
+    checked = _check_realized(eq, fns, p, fnz.eval_word,
+                              lambda pt: e(phi.value(pt)))
+    return Witness("FnZ", n, fns, p, 0, checked)
 
 
 def realize_lex_witness(pd: PartitionDiagram, e: SpacingEmbedding,
@@ -191,7 +199,7 @@ def realize_lex_witness(pd: PartitionDiagram, e: SpacingEmbedding,
     identity component.  As in the integer case, every evaluation is
     checked against the diagram before the witness is returned."""
     fns = {}
-    for name in _vars_of(eq):
+    for name in term.variables_of([eq]):
         gt = pd.gtilde(name)
         tilde = PLBijection(tuple((Fraction(j), Fraction(k))
                                   for j, k in sorted(gt.items())))
@@ -202,20 +210,14 @@ def realize_lex_witness(pd: PartitionDiagram, e: SpacingEmbedding,
                           fnz.extend_partial(pairs, n, permissive=True)))
         fns[name] = LexFn(n, tilde, tuple(comps))
     block, slot = pd.point
+
+    def want_at(pt):
+        wb, ws = pd.phi[pt]
+        return (Fraction(wb), e(ws))
+
     p = (Fraction(block), e(slot))
-    checked = []
-    for w in eq.joinands:
-        for k in range(len(w) + 1):
-            got = lexfn.eval_word(w[k:], fns, p)
-            wb, ws = pd.phi[point_of_word(w[k:])]
-            want = (Fraction(wb), e(ws))
-            assert got == want, \
-                f"realized functions disagree with diagram at {w[k:]}: " \
-                f"{got} != {want}"
-        v = lexfn.eval_word(w, fns, p)
-        assert v < p, f"joinand {word_str(w)} not below the point"
-        checked.append((word_str(w), v))
-    return Witness("FnQxZ", n, fns, p, 0, tuple(checked))
+    checked = _check_realized(eq, fns, p, lexfn.eval_word, want_at)
+    return Witness("FnQxZ", n, fns, p, 0, checked)
 
 
 def verify_witness(eq: Union[Equation, str], w: Witness) -> bool:
@@ -223,11 +225,11 @@ def verify_witness(eq: Union[Equation, str], w: Witness) -> bool:
     that produced it: every joinand of the claimed conjunct must evaluate
     strictly below the witness point.  Raises KeyError when the
     assignment is missing a variable of that conjunct."""
-    conjuncts = _conjuncts(eq)
+    conjuncts = term.conjuncts(eq)
     if not 0 <= w.conjunct < len(conjuncts):
         return False
     conj = conjuncts[w.conjunct]
-    missing = set(_vars_of(conj)) - set(w.assignment)
+    missing = set(term.variables_of([conj])) - set(w.assignment)
     if missing:
         raise KeyError(f"assignment missing variables: {sorted(missing)}")
     ev = fnz.eval_word if w.space == "FnZ" else lexfn.eval_word
@@ -236,12 +238,6 @@ def verify_witness(eq: Union[Equation, str], w: Witness) -> bool:
 
 
 # ------------------------------------------------------------- the drivers
-
-def _conjuncts(eq: Union[Equation, str]) -> list[IntensionalEquation]:
-    if isinstance(eq, str):
-        eq = term.parse(eq)
-    return term.to_intensional(eq)
-
 
 def _embed_task(args) -> Union[SpacingEmbedding, None, str]:
     chain, fns, n, cap, node_budget = args
@@ -257,8 +253,8 @@ def _decide(eq: Union[Equation, str], n: int, complete: bool,
             enumerate_failing, chain_of, fns_of, realize) -> Verdict:
     if n < 1:
         raise ValueError(f"period must be positive, got {n}")
-    conjuncts = _conjuncts(eq)
-    all_names = sorted({name for c in conjuncts for name in _vars_of(c)})
+    conjuncts = term.conjuncts(eq)
+    all_names = term.variables_of(conjuncts)
     mode = "complete" if complete else "capped"
     if budget is None:
         budget = None if complete else DEFAULT_NODE_BUDGET
@@ -296,11 +292,13 @@ def _decide(eq: Union[Equation, str], n: int, complete: bool,
                 if not batch:
                     break
                 stats["failing_candidates"] += len(batch)
-                tasks = [(chain_of(c), fns_of(c), n,
-                          spacing.complete_cap(chain_of(c).size, n)
-                          if complete else None,
-                          None if complete else EMBED_NODE_BUDGET)
-                         for c in batch]
+                tasks = []
+                for c in batch:
+                    chain = chain_of(c)
+                    tasks.append((chain, fns_of(c), n,
+                                  spacing.complete_cap(chain.size, n)
+                                  if complete else None,
+                                  None if complete else EMBED_NODE_BUDGET))
                 mapper = executor.map if executor else map
                 hit = None
                 for cand, emb in zip(batch, mapper(_embed_task, tasks)):
@@ -319,8 +317,9 @@ def _decide(eq: Union[Equation, str], n: int, complete: bool,
                     w, conjunct=ci,
                     assignment={name: w.assignment.get(name, ident)
                                 for name in all_names})
-                assert verify_witness(eq, w), \
-                    "witness failed independent re-verification"
+                if not verify_witness(eq, w):
+                    raise AssertionError(
+                        "witness failed independent re-verification")
                 return finish(FAILS, w)
     finally:
         if executor:

@@ -8,12 +8,12 @@ spread apart.
 A partial order-preserving function g on a c-chain has bracket inverses,
 partial analogues of the residuals of a total map on Z:
 
-    ell_bracket(g)(x) = b  iff  (b-1, b) is a designated cover, both ends
-                                lie in dom(g), and g(b-1) < x <= g(b)
-    r_bracket(g)(x)   = a  iff  (a, a+1) is a designated cover, both ends
-                                lie in dom(g), and g(a) <= x < g(a+1)
+    g^[l](x) = b  iff  (b-1, b) is a designated cover, both ends lie in
+                       dom(g), and g(b-1) < x <= g(b)
+    g^[r](x) = a  iff  (a, a+1) is a designated cover, both ends lie in
+                       dom(g), and g(a) <= x < g(a+1)
 
-Iterating alternately in either direction gives g^[m] for every integer m.
+Iterating either one gives g^[m] for every integer m (iter_bracket).
 The point of the definition: if e is a spacing embedding and f is any
 order-preserving extension of the counterpart e.g.e^-1 to all of Z, then the
 e-image of every g^[m] pair is realized by the m-th iterated residual of f.
@@ -25,10 +25,8 @@ during diagram search sound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
-
-from . import fnz
 
 
 class BudgetExceeded(RuntimeError):
@@ -75,35 +73,8 @@ class PartialFn:
     def from_mapping(cls, m: Mapping[int, int]) -> "PartialFn":
         return cls(tuple(m.items()))
 
-    def mapping(self) -> dict[int, int]:
-        return dict(self.pairs)
-
     def domain(self) -> tuple[int, ...]:
         return tuple(x for x, _ in self.pairs)
-
-    def get(self, x: int, default=None):
-        for a, b in self.pairs:
-            if a == x:
-                return b
-        return default
-
-    def __contains__(self, x: int) -> bool:
-        return any(a == x for a, _ in self.pairs)
-
-
-@dataclass
-class Diagram:
-    """A c-chain together with one partial function per variable."""
-
-    chain: CChain
-    fns: dict[str, PartialFn] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name, g in self.fns.items():
-            for x, y in g.pairs:
-                if not (0 <= x < self.chain.size and 0 <= y < self.chain.size):
-                    raise ValueError(
-                        f"pair {x}->{y} of {name} is outside the chain")
 
 
 @dataclass(frozen=True)
@@ -134,47 +105,24 @@ class SpacingEmbedding:
         return self.positions[-1] - self.positions[0]
 
 
-def ell_bracket(g: PartialFn, chain: CChain) -> PartialFn:
-    """Partial left inverse of g along designated covers."""
-    gm = g.mapping()
-    out = {}
-    for a, b in chain.covers:
-        if a in gm and b in gm:
-            for x in range(gm[a] + 1, gm[b] + 1):
-                if 0 <= x < chain.size:
-                    out[x] = b
-    return PartialFn.from_mapping(out)
-
-
-def r_bracket(g: PartialFn, chain: CChain) -> PartialFn:
-    """Partial right inverse of g along designated covers."""
-    gm = g.mapping()
-    out = {}
-    for a, b in chain.covers:
-        if a in gm and b in gm:
-            for x in range(gm[a], gm[b]):
-                if 0 <= x < chain.size:
-                    out[x] = a
-    return PartialFn.from_mapping(out)
-
-
-def iter_bracket(g: PartialFn, chain: CChain, m: int) -> PartialFn:
-    """m-fold bracket iterate: g^[0] = g, g^[k+1] = (g^[k])^[l], and
-    g^[-(k+1)] = (g^[-k])^[r]."""
-    out = g
+def iter_bracket(pairs: Mapping[int, int],
+                 covers: Iterable[tuple[int, int]], m: int
+                 ) -> Mapping[int, int]:
+    """The m-fold bracket inverse g^[m] of a partial function g, given as a
+    dict, on a chain with the given designated covers: g^[0] = g,
+    g^[k+1] = (g^[k])^[l] and g^[-(k+1)] = (g^[-k])^[r]."""
+    cur = pairs
     for _ in range(abs(m)):
-        out = ell_bracket(out, chain) if m > 0 else r_bracket(out, chain)
-    return out
-
-
-def counterpart(g: PartialFn, e: SpacingEmbedding) -> dict[int, int]:
-    """The partial function e.g.e^-1 on Z induced by a spacing embedding."""
-    return {e(x): e(y) for x, y in g.pairs}
-
-
-def check_n_periodic(h: Mapping[int, int], n: int) -> bool:
-    """Whether a finite partial function on Z is n-periodic, i.e. extends to
-    an element of the n-periodic function algebra.  Single pairwise ceiling
-    test; see fnz.is_periodic_pairs for the reduction from the forall-k
-    definition."""
-    return fnz.is_periodic_pairs(h, n)
+        nxt: dict[int, int] = {}
+        for c, d in covers:
+            if c in cur and d in cur:
+                if m > 0:
+                    for x in range(cur[c] + 1, cur[d] + 1):
+                        assert nxt.get(x, d) == d
+                        nxt[x] = d
+                else:
+                    for x in range(cur[c], cur[d]):
+                        assert nxt.get(x, c) == c
+                        nxt[x] = c
+        cur = nxt
+    return cur

@@ -133,13 +133,17 @@ def iter_inv(f: PeriodicFn, m: int) -> PeriodicFn:
     """m-fold iterated inverse f^(m): f^(0) = f, f^(m+1) = linv(f^(m)),
     f^(m-1) = rinv(f^(m)).
 
-    Uses the closed form f^(2k)(x) = f(x - k) + k for the even part, so only
-    the parity of m costs a residual computation.  In particular
-    f^(2n) = f^(0): these maps are n-periodic elements.
+    Uses the closed form f^(2k)(x) = f(x - k) + k for the even part, so at
+    most one residual is computed: linv of the even part below an odd m,
+    rinv of the one above a negative odd m.  In particular f^(2n) = f^(0):
+    these maps are n-periodic elements.
     """
+    if m < 0 and m % 2:
+        return rinv(iter_inv(f, m + 1))
     k, rem = divmod(m, 2)
-    shifted = PeriodicFn(f.n, tuple(eval(f, r - k) + k for r in range(f.n)))
-    return linv(shifted) if rem else shifted
+    even = f if k == 0 else PeriodicFn(
+        f.n, tuple(eval(f, r - k) + k for r in range(f.n)))
+    return linv(even) if rem else even
 
 
 def decompose(f: PeriodicFn) -> tuple[int, PeriodicFn]:
@@ -221,5 +225,6 @@ def extend_partial(h: Mapping[int, int], n: int,
         a = above[0] if above else dom[-1]
         vals.append(folded[a])
     f = PeriodicFn(n, tuple(vals))
-    assert all(eval(f, x) == hx for x, hx in h.items())
+    if any(eval(f, x) != hx for x, hx in h.items()):
+        raise AssertionError(f"extension {f} does not agree with {dict(h)}")
     return f

@@ -195,24 +195,25 @@ def compose(f: LexFn, g: LexFn) -> LexFn:
     return LexFn(f.n, f.tilde.compose(g.tilde), comps)
 
 
+def iter_inv(f: LexFn, m: int) -> LexFn:
+    """m-fold iterated inverse, componentwise through fnz.iter_inv.  An
+    even m keeps the global part and the component indices; an odd m
+    inverts the global part and moves component j to tilde(j)."""
+    if m == 0:
+        return f
+    odd = m % 2
+    return LexFn(f.n, f.tilde.inverse() if odd else f.tilde,
+                 tuple((f.tilde(j) if odd else j, fnz.iter_inv(c, m))
+                       for j, c in f.components))
+
+
 def linv(f: LexFn) -> LexFn:
     """Left adjoint: smallest g with composition above the identity."""
-    inv = f.tilde.inverse()
-    comps = tuple((f.tilde(j), fnz.linv(c)) for j, c in f.components)
-    return LexFn(f.n, inv, comps)
+    return iter_inv(f, 1)
 
 
 def rinv(f: LexFn) -> LexFn:
-    inv = f.tilde.inverse()
-    comps = tuple((f.tilde(j), fnz.rinv(c)) for j, c in f.components)
-    return LexFn(f.n, inv, comps)
-
-
-def iter_inv(f: LexFn, m: int) -> LexFn:
-    out = f
-    for _ in range(abs(m)):
-        out = linv(out) if m > 0 else rinv(out)
-    return out
+    return iter_inv(f, -1)
 
 
 def eval_word(word: Iterable[tuple[str, int]],
@@ -300,6 +301,8 @@ def _lattice_grid(f: LexFn, g: LexFn) -> list[Fraction]:
 
 
 def _pointwise_lattice(f: LexFn, g: LexFn, pick_smaller: bool) -> LexFn:
+    if f.n != g.n:
+        raise ValueError(f"period mismatch: {f.n} != {g.n}")
     xs = _lattice_grid(f, g)
     anchors = []
     for x in xs:
@@ -324,15 +327,11 @@ def _pointwise_lattice(f: LexFn, g: LexFn, pick_smaller: bool) -> LexFn:
 
 def meet(f: LexFn, g: LexFn) -> LexFn:
     """Pointwise lexicographic minimum."""
-    if f.n != g.n:
-        raise ValueError(f"period mismatch: {f.n} != {g.n}")
     return _pointwise_lattice(f, g, pick_smaller=True)
 
 
 def join(f: LexFn, g: LexFn) -> LexFn:
     """Pointwise lexicographic maximum."""
-    if f.n != g.n:
-        raise ValueError(f"period mismatch: {f.n} != {g.n}")
     return _pointwise_lattice(f, g, pick_smaller=False)
 
 

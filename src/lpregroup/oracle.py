@@ -24,7 +24,7 @@ from . import fnz, lexfn, term
 from .decide import Witness, verify_witness
 from .fnz import PeriodicFn
 from .lexfn import LexFn, PLBijection
-from .term import Equation, IntensionalEquation, word_str
+from .term import Equation, word_str
 
 DEFAULT_BUDGET = 100_000
 
@@ -109,17 +109,6 @@ def _small_lexfns(n: int) -> list[LexFn]:
 
 # --------------------------------------------------------------- the scans
 
-def _conjuncts(eq: Union[Equation, str]) -> list[IntensionalEquation]:
-    if isinstance(eq, str):
-        eq = term.parse(eq)
-    return term.to_intensional(eq)
-
-
-def _names_of(conjuncts) -> list[str]:
-    return sorted({nm for c in conjuncts
-                   for w in c.joinands for nm, _ in w})
-
-
 def _failing_conjunct(conjuncts, assignment, points, ev):
     """First (conjunct index, point, joinand evaluations) where every
     joinand lands strictly below the point, or None."""
@@ -164,8 +153,8 @@ def search_counterexample_fnz(eq: Union[Equation, str], n: int,
     counts assignments tried; each one is checked at one period's worth
     of points, which is exact because failing points recur n-periodically.
     """
-    conjuncts = _conjuncts(eq)
-    names = _names_of(conjuncts)
+    conjuncts = term.conjuncts(eq)
+    names = term.variables_of(conjuncts)
     if not conjuncts or not names:
         return None
     rng = random.Random(seed)
@@ -179,7 +168,8 @@ def search_counterexample_fnz(eq: Union[Equation, str], n: int,
             return None
         ci, p, checked = hit
         w = Witness("FnZ", n, dict(assignment), p, ci, checked)
-        assert verify_witness(eq, w), "oracle witness failed re-verification"
+        if not verify_witness(eq, w):
+            raise AssertionError("oracle witness failed re-verification")
         return w
 
     if count_periodic_fns(n, n) ** len(names) <= min(budget, 30_000):
@@ -212,8 +202,8 @@ def search_counterexample_lex(eq: Union[Equation, str], n: int,
     block coordinate from the assignment's own breakpoints and supports
     with one period's worth of integer slots.
     """
-    conjuncts = _conjuncts(eq)
-    names = _names_of(conjuncts)
+    conjuncts = term.conjuncts(eq)
+    names = term.variables_of(conjuncts)
     if not conjuncts or not names:
         return None
     rng = random.Random(seed)
@@ -228,7 +218,8 @@ def search_counterexample_lex(eq: Union[Equation, str], n: int,
             return None
         ci, p, checked = hit
         w = Witness("FnQxZ", n, dict(assignment), p, ci, checked)
-        assert verify_witness(eq, w), "oracle witness failed re-verification"
+        if not verify_witness(eq, w):
+            raise AssertionError("oracle witness failed re-verification")
         return w
 
     family = _small_lexfns(n)

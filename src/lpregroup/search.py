@@ -38,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .diagram import BudgetExceeded, CChain, PartialFn
+from .diagram import BudgetExceeded, CChain, PartialFn, iter_bracket
 from .term import IntensionalEquation, Point, delta_epsilon, point_of_word
 
 
@@ -88,9 +88,6 @@ class PartitionDiagram:
 
     def flat(self, v: tuple[int, int]) -> int:
         return v[0] * self.slots + v[1]
-
-    def unflat(self, x: int) -> tuple[int, int]:
-        return divmod(x, self.slots)
 
     @property
     def point(self) -> tuple[int, int]:
@@ -231,31 +228,13 @@ def fails_in(cand: "CompatibleSurjection | PartitionDiagram",
 
 # --------------------------------------------------- plain chain enumeration
 
-def _bracket_value(pairs: dict[int, int], covers, m: int, a: int
-                   ) -> Optional[int]:
-    """m-fold bracket inverse of a partial function given as a dict, on a
-    chain of integers with the given designated covers."""
-    cur = pairs
-    for _ in range(abs(m)):
-        nxt = {}
-        for c, d in covers:
-            if c in cur and d in cur:
-                if m > 0:
-                    for x in range(cur[c] + 1, cur[d] + 1):
-                        assert nxt.get(x, d) == d
-                        nxt[x] = d
-                else:
-                    for x in range(cur[c], cur[d]):
-                        assert nxt.get(x, c) == c
-                        nxt[x] = c
-        cur = nxt
-    return cur.get(a)
-
-
-def _plain_assignments(eq: IntensionalEquation, q: int, require_failure: bool,
+def _plain_assignments(table, require_failure: bool,
                        budget: Optional[NodeBudget] = None
-                       ) -> Iterator[tuple[list[int], set, dict]]:
-    pts, info, joinands, bracket_edges, sandwiches = _point_table(eq)
+                       ) -> Iterator[tuple[int, list[int], set, dict]]:
+    """Assignments of the points of a _point_table onto 0..q-1, for every
+    chain size q up to the point count, q ascending (the closures below
+    read q from the loop at the end)."""
+    pts, info, joinands, bracket_edges, sandwiches = table
     npts = len(pts)
     val: list[Optional[int]] = [None] * npts
     unit = next(i for i, (kind, *_) in enumerate(info) if kind == "unit")
@@ -341,7 +320,7 @@ def _plain_assignments(eq: IntensionalEquation, q: int, require_failure: bool,
         if len(used) != q:
             return False
         for pi, ci, name, m in bracket_edges:
-            got = _bracket_value(fns.get(name, {}), covers, m, val[pi])
+            got = iter_bracket(fns.get(name, {}), covers, m).get(val[pi])
             if got != val[ci]:
                 return False
         return True
@@ -349,7 +328,7 @@ def _plain_assignments(eq: IntensionalEquation, q: int, require_failure: bool,
     def dfs(i: int) -> Iterator:
         if i == npts:
             if complete():
-                yield (list(val), set(covers),
+                yield (q, list(val), set(covers),
                        {k: dict(v) for k, v in fns.items()})
             return
         for v in candidates(i):
@@ -360,7 +339,8 @@ def _plain_assignments(eq: IntensionalEquation, q: int, require_failure: bool,
                 yield from dfs(i + 1)
             unassign(i)
 
-    yield from dfs(0)
+    for q in range(1, npts + 1):
+        yield from dfs(0)
 
 
 def enumerate_compatible_surjections(
@@ -370,15 +350,14 @@ def enumerate_compatible_surjections(
     """All compatible surjections onto 0..q-1, q ascending.  With
     require_failure, prune to assignments that put every joinand strictly
     below the unit."""
-    pts = _point_table(eq)[0]
-    for q in range(1, len(pts) + 1):
-        for values, covers, fns in _plain_assignments(eq, q, require_failure,
-                                                      budget):
-            phi = {p: values[i] for i, p in enumerate(pts)}
-            chain = CChain(q, frozenset(covers))
-            yield CompatibleSurjection(
-                q, phi, chain,
-                {name: PartialFn.from_mapping(g) for name, g in fns.items()})
+    table = _point_table(eq)
+    for q, values, covers, fns in _plain_assignments(table, require_failure,
+                                                     budget):
+        phi = {p: values[i] for i, p in enumerate(table[0])}
+        chain = CChain(q, frozenset(covers))
+        yield CompatibleSurjection(
+            q, phi, chain,
+            {name: PartialFn.from_mapping(g) for name, g in fns.items()})
 
 
 
@@ -462,23 +441,22 @@ def enumerate_partition_diagrams(
     through every structuring of its chain.  Blocks and slots are named
     by their final ranks; the flat chain is the full grid, covers
     sitting inside single blocks."""
-    pts = _point_table(eq)[0]
-    for q in range(1, len(pts) + 1):
-        for values, covers, fns in _plain_assignments(eq, q, require_failure,
-                                                      budget):
-            for blk, slt, b, d in _structurings(q, covers, fns, budget):
-                def flat(c: int) -> int:
-                    return blk[c] * d + slt[c]
-                phi = {p: (blk[values[i]], slt[values[i]])
-                       for i, p in enumerate(pts)}
-                grid_covers = set()
-                for a, a1 in covers:
-                    assert blk[a1] == blk[a] and slt[a1] == slt[a] + 1
-                    grid_covers.add((flat(a), flat(a) + 1))
-                grid_fns = {
-                    name: PartialFn.from_mapping(
-                        {flat(x): flat(y) for x, y in g.items()})
-                    for name, g in fns.items()}
-                yield PartitionDiagram(b, d, phi,
-                                       CChain(b * d, frozenset(grid_covers)),
-                                       grid_fns)
+    table = _point_table(eq)
+    for q, values, covers, fns in _plain_assignments(table, require_failure,
+                                                     budget):
+        for blk, slt, b, d in _structurings(q, covers, fns, budget):
+            def flat(c: int) -> int:
+                return blk[c] * d + slt[c]
+            phi = {p: (blk[values[i]], slt[values[i]])
+                   for i, p in enumerate(table[0])}
+            grid_covers = set()
+            for a, a1 in covers:
+                assert blk[a1] == blk[a] and slt[a1] == slt[a] + 1
+                grid_covers.add((flat(a), flat(a) + 1))
+            grid_fns = {
+                name: PartialFn.from_mapping(
+                    {flat(x): flat(y) for x, y in g.items()})
+                for name, g in fns.items()}
+            yield PartitionDiagram(b, d, phi,
+                                   CChain(b * d, frozenset(grid_covers)),
+                                   grid_fns)

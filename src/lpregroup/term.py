@@ -9,6 +9,8 @@ Input language (ASCII):
     postfix   :=  atom ("^l" | "^r" | "^(" ["-"] int ")")*
     atom      :=  ident | "1" | "(" term ")"
 
+Parentheses nest at most MAX_NESTING deep.
+
 An equation is decided through its intensional form: a conjunction of
 inequalities 1 <= w_1 | ... | w_k where every w is a product of literals
 x^(m) (m-fold iterated inverses of variables, m in Z; x^(0) is x itself,
@@ -82,6 +84,8 @@ class ParseError(ValueError):
 
 # ------------------------------------------------------------------ parser
 
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
                        r"|(?P<int>\d+)"
                        r"|(?P<op><=|[=|&*^()\-]))")
@@ -112,6 +116,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -201,8 +206,15 @@ class _Parser:
             raise ParseError(f"only the unit constant 1 is allowed, "
                              f"got {val} at {pos}")
         if val == "(":
+            # each level costs several stack frames here and in the
+            # recursive normal-form passes; refuse before Python's limit
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than "
+                                 f"{MAX_NESTING} at {pos}")
+            self.depth += 1
             t = self.term()
             self.expect(")")
+            self.depth -= 1
             return t
         raise ParseError(f"expected a variable, '1' or '(' at {pos}, "
                          f"got {val!r}")
@@ -211,14 +223,6 @@ class _Parser:
 def parse(text: str) -> Equation:
     """Parse an equation.  Raises ParseError on malformed input."""
     return _Parser(text).equation()
-
-
-def parse_term(text: str) -> Term:
-    p = _Parser(text)
-    t = p.term()
-    if p.peek()[0] != "end":
-        p.fail("trailing input")
-    return t
 
 
 # ------------------------------------------------------- size and variables
@@ -337,13 +341,11 @@ def _inequality_conjuncts(lhs: Term, rhs: Term) -> list[IntensionalEquation]:
     moved = Prod((Inv(lhs, -1), rhs))
     arms = _join_of_meets(_push_inv(moved, 0))
     conjuncts = []
-    seen = set()
     for choice in itertools.product(*(range(len(arm)) for arm in arms)):
         joinands = tuple(sorted({arms[i][c] for i, c in enumerate(choice)}))
         if () in joinands:
             continue  # one joinand is the unit itself: trivially true
-        if joinands and joinands not in seen:
-            seen.add(joinands)
+        if joinands:
             conjuncts.append(IntensionalEquation(joinands))
     return conjuncts
 
@@ -355,13 +357,20 @@ def to_intensional(eq: Equation) -> list[IntensionalEquation]:
     out = _inequality_conjuncts(eq.lhs, eq.rhs)
     if eq.relation == "=":
         out.extend(_inequality_conjuncts(eq.rhs, eq.lhs))
-    seen = set()
-    dedup = []
-    for c in out:
-        if c.joinands not in seen:
-            seen.add(c.joinands)
-            dedup.append(c)
-    return dedup
+    return list(dict.fromkeys(out))  # drop repeats, keep first-seen order
+
+
+def conjuncts(eq: Union[Equation, str]) -> list[IntensionalEquation]:
+    """The intensional conjuncts of an equation, parsing it if given as
+    text."""
+    if isinstance(eq, str):
+        eq = parse(eq)
+    return to_intensional(eq)
+
+
+def variables_of(conjs: Iterable[IntensionalEquation]) -> list[str]:
+    """Sorted names of the variables occurring in the given conjuncts."""
+    return sorted({name for c in conjs for w in c.joinands for name, _ in w})
 
 
 def intensional_size(eq: IntensionalEquation) -> int:

@@ -89,51 +89,48 @@ def leq(a: WreathElement, b: WreathElement) -> bool:
                for j in set(a.support) | set(b.support))
 
 
-def join(a: WreathElement, b: WreathElement) -> WreathElement:
+def _lattice(a: WreathElement, b: WreathElement,
+             pick_smaller: bool) -> WreathElement:
     _check(a, b)
-    support = sorted(set(a.support) | set(b.support))
     comps = []
-    for j in support:
-        if a.h + j < b.h + j:
-            comps.append((j, b.comp(j)))
-        elif b.h + j < a.h + j:
+    for j in sorted(set(a.support) | set(b.support)):
+        if a.h == b.h:
+            op = fnz.meet if pick_smaller else fnz.join
+            comps.append((j, op(a.comp(j), b.comp(j))))
+        elif (a.h < b.h) == pick_smaller:
             comps.append((j, a.comp(j)))
         else:
-            comps.append((j, fnz.join(a.comp(j), b.comp(j))))
-    return WreathElement(a.n, max(a.h, b.h), tuple(comps))
+            comps.append((j, b.comp(j)))
+    h = min(a.h, b.h) if pick_smaller else max(a.h, b.h)
+    return WreathElement(a.n, h, tuple(comps))
+
+
+def join(a: WreathElement, b: WreathElement) -> WreathElement:
+    return _lattice(a, b, pick_smaller=False)
 
 
 def meet(a: WreathElement, b: WreathElement) -> WreathElement:
-    _check(a, b)
-    support = sorted(set(a.support) | set(b.support))
-    comps = []
-    for j in support:
-        if a.h + j < b.h + j:
-            comps.append((j, a.comp(j)))
-        elif b.h + j < a.h + j:
-            comps.append((j, b.comp(j)))
-        else:
-            comps.append((j, fnz.meet(a.comp(j), b.comp(j))))
-    return WreathElement(a.n, min(a.h, b.h), tuple(comps))
+    return _lattice(a, b, pick_smaller=True)
+
+
+def iter_inv(a: WreathElement, m: int) -> WreathElement:
+    """m-fold iterated inverse, componentwise through fnz.iter_inv.  An
+    even m keeps the translation and the component indices; an odd m
+    negates the translation and moves component j to j + h."""
+    odd = m % 2
+    return WreathElement(a.n, -a.h if odd else a.h,
+                         tuple((j + a.h if odd else j, fnz.iter_inv(f, m))
+                               for j, f in a.comps))
 
 
 def linv(a: WreathElement) -> WreathElement:
     """(h, n)^l = (h^-1, n^l twisted by h^-1): component at j is the left
     adjoint of the component at j - h."""
-    comps = tuple((j + a.h, fnz.linv(f)) for j, f in a.comps)
-    return WreathElement(a.n, -a.h, comps)
+    return iter_inv(a, 1)
 
 
 def rinv(a: WreathElement) -> WreathElement:
-    comps = tuple((j + a.h, fnz.rinv(f)) for j, f in a.comps)
-    return WreathElement(a.n, -a.h, comps)
-
-
-def iter_inv(a: WreathElement, m: int) -> WreathElement:
-    out = a
-    for _ in range(abs(m)):
-        out = linv(out) if m > 0 else rinv(out)
-    return out
+    return iter_inv(a, -1)
 
 
 # ------------------------------------------------- lexicographic transport

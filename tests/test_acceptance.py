@@ -9,7 +9,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from lpregroup import decide, fnz, lexfn, oracle, spacing, term, wreath
+from lpregroup import (bounds, decide, fnz, lexfn, oracle, spacing, term,
+                       wreath)
 from lpregroup.decide import FAILS, VALID, verify_witness
 from lpregroup.diagram import CChain, SpacingEmbedding
 
@@ -140,20 +141,20 @@ def test_criterion_4_spacing_bounds():
             before = _random_embedded_chain(rng)
             q = before.chain.size
 
-            short1 = spacing.find_short_1transfer(before)
+            short1 = bounds.find_short_1transfer(before)
             assert short1.height <= spacing.rho(q)
             pts = before.positions
             shifts = {b - a for a in pts for b in pts}
             for c in shifts:
-                assert spacing.transfers_periodicity(
+                assert bounds.transfers_periodicity(
                     before, short1, fnz.shift_fn(1, c))
 
             n = 2 + i % 2
-            shortn = spacing.find_short_ntransfer(before, n)
+            shortn = bounds.find_short_ntransfer(before, n)
             assert shortn.height <= spacing.nu(q, n)
             for _ in range(200):
                 f = oracle.random_periodic_fn(n, 3 * n, rng)
-                assert spacing.transfers_periodicity(before, shortn, f)
+                assert bounds.transfers_periodicity(before, shortn, f)
 
 
 # ---------------------------------------------------------------------- 5

@@ -128,11 +128,27 @@ def test_dlp_paths(capsys):
     ("decide", "--theory", "fnz", "--n", "1", "1 <= )("),
     ("decide", "--theory", "fnz", "--n", "0", "1 <= x"),
     ("verify", "/nonexistent/w.json", "1 <= x"),
+    ("decide", "--theory", "fnz", "--n", "1",
+     "(" * 2000 + "x" + ")" * 2000 + " <= x"),            # nested too deep
 ])
 def test_config_errors_exit_three(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert err
+
+
+def test_internal_error_exits_four(capsys, monkeypatch):
+    from lpregroup import decide
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("simulated internal error")
+
+    monkeypatch.setattr(decide, "decide_fnz", broken)
+    code, out, err = run(capsys, "decide", "--theory", "fnz", "--n", "1",
+                         "1 <= x")
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err and "simulated internal error" in err
 
 
 def test_malformed_witness_file_exits_three(capsys, tmp_path):

@@ -7,6 +7,9 @@ second so the whole file stays quick.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -103,6 +106,29 @@ def test_verify_rejects_wrong_point():
     good = Witness("FnZ", 2, {"x": h}, 0)
     assert verify_witness("1 <= x", good)
     assert not verify_witness("1 <= x", Witness("FnZ", 2, {"x": h}, 1))
+
+
+_REVERIFY_PATCHED = """
+import sys
+from lpregroup import decide
+decide.verify_witness = lambda eq, w: False
+try:
+    v = decide.decide_fnz("1 <= x", 2)
+except Exception as e:
+    print("raised", isinstance(e, ValueError), sys.flags.optimize)
+else:
+    print("returned", v.status, sys.flags.optimize)
+"""
+
+
+def test_failed_reverification_raises_under_optimize():
+    # python -O strips assert statements; the re-verification must not be
+    # one, and must not raise ValueError, which the CLI reports as usage
+    src = os.path.dirname(os.path.dirname(decide.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _REVERIFY_PATCHED],
+                          capture_output=True, text=True, env=env)
+    assert proc.stdout.split() == ["raised", "False", "1"], proc.stderr
 
 
 def test_verify_rejects_identity_assignment():

@@ -153,6 +153,25 @@ def test_periodicity_of_iterates(f):
     assert lexfn.iter_inv(f, -2 * f.n) == f
 
 
+def _residual(f, left):
+    """One residual straight from its definition: invert the global part,
+    move component j to tilde(j) and take the component's residual."""
+    res = fnz.linv if left else fnz.rinv
+    return LexFn(f.n, f.tilde.inverse(),
+                 tuple((f.tilde(j), res(c)) for j, c in f.components))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lex_fns(), st.integers(-6, 6))
+def test_iter_inv_matches_residual_chain(f, m):
+    ref = f
+    for _ in range(abs(m)):
+        ref = _residual(ref, m > 0)
+    assert lexfn.iter_inv(f, m) == ref
+    assert lexfn.linv(f) == _residual(f, True)
+    assert lexfn.rinv(f) == _residual(f, False)
+
+
 # ----------------------------------------------------------------- order
 
 @settings(max_examples=150, deadline=None)

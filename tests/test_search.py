@@ -4,7 +4,7 @@ force over all onto assignments checked straight from the definitions."""
 import itertools
 
 from lpregroup import spacing, term
-from lpregroup.diagram import CChain, PartialFn, iter_bracket
+from lpregroup.diagram import iter_bracket
 from lpregroup.search import (enumerate_compatible_surjections,
                               enumerate_partition_diagrams, fails_in)
 
@@ -50,7 +50,7 @@ def induced(pts, phi):
     return fns, covers
 
 
-def oracle_ok(pts, phi, size, slots=None):
+def oracle_ok(pts, phi, slots=None):
     r = induced(pts, phi)
     if r is None:
         return False
@@ -66,11 +66,9 @@ def oracle_ok(pts, phi, size, slots=None):
                     return False
                 if bwd.setdefault(b // slots, a // slots) != a // slots:
                     return False
-    chain = CChain(size, frozenset(covers))
     for p in pts:
         if p and p[0][0] == "app" and p[0][2] != 0:
-            fn = PartialFn.from_mapping(fns.get(p[0][1], {}))
-            br = iter_bracket(fn, chain, p[0][2])
+            br = iter_bracket(fns.get(p[0][1], {}), covers, p[0][2])
             if br.get(phi[p[1:]]) != phi[p]:
                 return False
     return True
@@ -83,7 +81,7 @@ def brute_surjections(eq):
         for values in itertools.product(range(q), repeat=len(pts)):
             if set(values) != set(range(q)):
                 continue
-            if oracle_ok(pts, dict(zip(pts, values)), q):
+            if oracle_ok(pts, dict(zip(pts, values))):
                 found.add((q, values))
     return found
 
@@ -98,7 +96,7 @@ def brute_partitions(eq):
                     continue
                 if {v % d for v in values} != set(range(d)):
                     continue
-                if oracle_ok(pts, dict(zip(pts, values)), b * d, slots=d):
+                if oracle_ok(pts, dict(zip(pts, values)), slots=d):
                     found.add((b, d, values))
     return found
 
@@ -209,7 +207,7 @@ def test_partition_diagrams_wellformed():
             (a % pd.slots, b % pd.slots) for a, b in pd.chain.covers)
         # the whole assignment rechecks from scratch
         flat = {p: pd.flat(pd.phi[p]) for p in pts}
-        assert oracle_ok(pts, flat, pd.blocks * pd.slots, slots=pd.slots)
+        assert oracle_ok(pts, flat, slots=pd.slots)
     assert count > 0
 
 
@@ -223,7 +221,8 @@ def test_partition_bracket_blocks_alternate():
         for name in pd.fns:
             gt = pd.gtilde(name)
             for m in (1, -1):
-                for x, y in iter_bracket(pd.fns[name], pd.chain, m).pairs:
+                for x, y in iter_bracket(dict(pd.fns[name].pairs),
+                                         pd.chain.covers, m).items():
                     assert gt[y // pd.slots] == x // pd.slots
                     seen += 1
     assert seen > 0

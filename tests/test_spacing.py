@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from lpregroup import fnz
 from lpregroup.diagram import CChain, PartialFn, SpacingEmbedding
 from lpregroup import spacing
-from lpregroup.spacing import (
-    BudgetExceeded, LinearSystem, build_1transfer_system,
-    find_short_1transfer, find_short_ntransfer, find_witness_embedding,
-    nu, rho, solve_bounded_nonneg, transfers_periodicity,
+from lpregroup.bounds import (
+    LinearSystem, build_1transfer_system, find_short_1transfer,
+    find_short_ntransfer, solve_bounded_nonneg, transfers_periodicity,
 )
+from lpregroup.spacing import BudgetExceeded, find_witness_embedding, nu, rho
 
 
 # --------------------------------------------------------------- oracles

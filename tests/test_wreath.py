@@ -132,6 +132,25 @@ def test_periodicity(a):
     assert iter_inv(a, -2 * a.n) == a
 
 
+def _residual(a, left):
+    """One residual straight from its definition: negate the translation,
+    move component j to j + h and take the component's residual."""
+    res = fnz.linv if left else fnz.rinv
+    return WreathElement(a.n, -a.h,
+                         tuple((j + a.h, res(f)) for j, f in a.comps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements(), st.integers(-6, 6))
+def test_iter_inv_matches_residual_chain(a, m):
+    ref = a
+    for _ in range(abs(m)):
+        ref = _residual(ref, m > 0)
+    assert iter_inv(a, m) == ref
+    assert linv(a) == _residual(a, True)
+    assert rinv(a) == _residual(a, False)
+
+
 def test_periodicity_needs_matching_components():
     # a 2-periodic non-translation component is not 1-periodic: one
     # double-inverse does not return to the element
