@@ -57,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--n-override", type=int, dest="n_override",
                    help="dlp only: decide at this period instead of the "
                         "reduced one")
-    d.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for embedding attempts")
     d.add_argument("--force", action="store_true",
                    help="dlp only: allow a complete run past the "
                         "practicality threshold")
@@ -102,7 +100,7 @@ def _cmd_decide(args) -> int:
                               "use --n-override to substitute one")
         verdict = decide.decide_dlp(
             args.equation, complete=args.complete, budget=args.budget,
-            jobs=args.jobs, n_override=args.n_override, force=args.force)
+            n_override=args.n_override, force=args.force)
     else:
         if args.n is None:
             raise _UsageError(f"--theory {args.theory} requires --n")
@@ -110,7 +108,7 @@ def _cmd_decide(args) -> int:
             raise _UsageError("--n-override only applies to --theory dlp")
         proc = decide.decide_fnz if args.theory == "fnz" else decide.decide_lpn
         verdict = proc(args.equation, args.n, complete=args.complete,
-                       budget=args.budget, jobs=args.jobs)
+                       budget=args.budget)
     _print_json({
         "theory": args.theory,
         "n": verdict.n,
@@ -126,7 +124,7 @@ def _cmd_decide(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.witness) as fh:
         data = json.load(fh)
-    if isinstance(data.get("witness"), dict):
+    if isinstance(data, dict) and isinstance(data.get("witness"), dict):
         data = data["witness"]
     w = decide.witness_from_json(data)
     try:

@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
 from . import fnz, lexfn, spacing, term
-from .diagram import BudgetExceeded, CChain, SpacingEmbedding
+from .diagram import BudgetExceeded, SpacingEmbedding
 from .fnz import PeriodicFn
 from .lexfn import LexFn, PLBijection
 from .search import (CompatibleSurjection, NodeBudget, PartitionDiagram,
@@ -58,8 +57,6 @@ EMBED_NODE_BUDGET = 20_000
 # witness realization materializes one period of each function, so truly
 # enormous periods are only practical through n_override
 DLP_PRACTICAL_MAX = 20_000
-
-_CAPPED = "capped-attempt"
 
 FnPoint = Union[int, tuple[Fraction, int]]
 
@@ -108,18 +105,26 @@ def _point_from_json(space: str, data) -> FnPoint:
 
 
 def witness_from_json(data: dict) -> Witness:
-    space = data["space"]
-    fn_load = lexfn.fn_from_json if space == "FnZ" else lexfn.from_json
-    return Witness(
-        space=space,
-        n=int(data["n"]),
-        assignment={name: fn_load(f)
-                    for name, f in data["assignment"].items()},
-        point=_point_from_json(space, data["point"]),
-        conjunct=int(data.get("conjunct", 0)),
-        checked=tuple((c["word"], _point_from_json(space, c["value"]))
-                      for c in data.get("checked", ())),
-    )
+    """Load a witness from its JSON form.  Raises ValueError when data is
+    not shaped like a witness (a missing field, an unknown space, a value
+    of the wrong type)."""
+    try:
+        space = data["space"]
+        if space not in ("FnZ", "FnQxZ"):
+            raise ValueError(f"malformed witness: unknown space {space!r}")
+        fn_load = lexfn.fn_from_json if space == "FnZ" else lexfn.from_json
+        return Witness(
+            space=space,
+            n=int(data["n"]),
+            assignment={name: fn_load(f)
+                        for name, f in data["assignment"].items()},
+            point=_point_from_json(space, data["point"]),
+            conjunct=int(data.get("conjunct", 0)),
+            checked=tuple((c["word"], _point_from_json(space, c["value"]))
+                          for c in data.get("checked", ())),
+        )
+    except (KeyError, TypeError, AttributeError) as e:
+        raise ValueError(f"malformed witness: {e!r}") from e
 
 
 @dataclass
@@ -169,16 +174,17 @@ def _check_realized(eq: IntensionalEquation, fns, p, ev, want_at
 
 
 def realize_fnz_witness(phi: CompatibleSurjection, e: SpacingEmbedding,
-                        eq: IntensionalEquation, n: int) -> Witness:
-    """Concrete n-periodic functions on Z from a failing compatible
-    surjection and a spacing embedding of its chain.
+                        eq: IntensionalEquation, n: int,
+                        names: list[str]) -> Witness:
+    """Concrete n-periodic functions on Z, one per name in names, from a
+    failing compatible surjection and a spacing embedding of its chain.
 
     Each variable's counterpart pairs are pushed through the embedding and
-    extended periodically; variables with no pairs get the identity.  The
-    evaluations are then checked against the diagram, final subword by
-    final subword."""
+    extended periodically; variables with no pairs (among them those that
+    do not occur in eq) get the identity.  The evaluations are then
+    checked against the diagram, final subword by final subword."""
     fns = {}
-    for name in term.variables_of([eq]):
+    for name in names:
         pairs = {e(x): e(y) for x, y in phi.fn(name).pairs}
         fns[name] = fnz.extend_partial(pairs, n, permissive=True)
     p = e(phi.value(()))
@@ -188,18 +194,21 @@ def realize_fnz_witness(phi: CompatibleSurjection, e: SpacingEmbedding,
 
 
 def realize_lex_witness(pd: PartitionDiagram, e: SpacingEmbedding,
-                        eq: IntensionalEquation, n: int) -> Witness:
-    """Concrete functions on the lexicographic chain Q x Z from a failing
-    block-grid diagram and a shared spacing embedding of its slot chain.
+                        eq: IntensionalEquation, n: int,
+                        names: list[str]) -> Witness:
+    """Concrete functions on the lexicographic chain Q x Z, one per name
+    in names, from a failing block-grid diagram and a shared spacing
+    embedding of its slot chain.
 
     Blocks sit at the integer rationals.  A variable's block-level
     injection extends to a piecewise-linear bijection through those
     anchor points, and each of its per-block slot functions extends
     n-periodically under the shared embedding; untouched fibers keep the
-    identity component.  As in the integer case, every evaluation is
-    checked against the diagram before the witness is returned."""
+    identity component, so a variable with no pairs is the identity.  As
+    in the integer case, every evaluation is checked against the diagram
+    before the witness is returned."""
     fns = {}
-    for name in term.variables_of([eq]):
+    for name in names:
         gt = pd.gtilde(name)
         tilde = PLBijection(tuple((Fraction(j), Fraction(k))
                                   for j, k in sorted(gt.items())))
@@ -239,22 +248,13 @@ def verify_witness(eq: Union[Equation, str], w: Witness) -> bool:
 
 # ------------------------------------------------------------- the drivers
 
-def _embed_task(args) -> Union[SpacingEmbedding, None, str]:
-    chain, fns, n, cap, node_budget = args
-    try:
-        return spacing.find_witness_embedding(chain, fns, n, cap=cap,
-                                              node_budget=node_budget)
-    except BudgetExceeded:
-        return _CAPPED
-
-
 def _decide(eq: Union[Equation, str], n: int, complete: bool,
-            budget: Optional[int], jobs: int, *, space: str,
-            enumerate_failing, chain_of, fns_of, realize) -> Verdict:
+            budget: Optional[int], *, enumerate_failing, chain_of, fns_of,
+            realize) -> Verdict:
     if n < 1:
         raise ValueError(f"period must be positive, got {n}")
     conjuncts = term.conjuncts(eq)
-    all_names = term.variables_of(conjuncts)
+    names = term.variables_of(conjuncts)
     mode = "complete" if complete else "capped"
     if budget is None:
         budget = None if complete else DEFAULT_NODE_BUDGET
@@ -262,76 +262,45 @@ def _decide(eq: Union[Equation, str], n: int, complete: bool,
     stats = {"failing_candidates": 0, "embeddings_refuted": 0,
              "attempts_capped": 0}
     t0 = time.perf_counter()
-    stopped = False
-
-    def drain(it, k):
-        nonlocal stopped
-        out = []
-        try:
-            for cand in it:
-                out.append(cand)
-                if len(out) >= k:
-                    break
-        except BudgetExceeded:
-            stopped = True
-        return out
 
     def finish(status, witness=None):
         stats["nodes"] = nb.used
         stats["time_s"] = round(time.perf_counter() - t0, 3)
         return Verdict(status, n, mode, witness, stats)
 
-    executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
         for ci, conj in enumerate(conjuncts):
-            if stopped:
-                break
-            it = enumerate_failing(conj, nb)
-            while not stopped:
-                batch = drain(it, 4 * max(1, jobs))
-                if not batch:
-                    break
-                stats["failing_candidates"] += len(batch)
-                tasks = []
-                for c in batch:
-                    chain = chain_of(c)
-                    tasks.append((chain, fns_of(c), n,
-                                  spacing.complete_cap(chain.size, n)
-                                  if complete else None,
-                                  None if complete else EMBED_NODE_BUDGET))
-                mapper = executor.map if executor else map
-                hit = None
-                for cand, emb in zip(batch, mapper(_embed_task, tasks)):
-                    if emb == _CAPPED:
-                        stats["attempts_capped"] += 1
-                    elif emb is None:
-                        stats["embeddings_refuted"] += 1
-                    elif hit is None:
-                        hit = (cand, emb)
-                if hit is None:
+            for cand in enumerate_failing(conj, nb):
+                stats["failing_candidates"] += 1
+                chain = chain_of(cand)
+                try:
+                    emb = spacing.find_witness_embedding(
+                        chain, fns_of(cand), n,
+                        cap=spacing.complete_cap(chain.size, n)
+                        if complete else None,
+                        node_budget=None if complete else EMBED_NODE_BUDGET)
+                except BudgetExceeded:
+                    stats["attempts_capped"] += 1
                     continue
-                cand, emb = hit
-                w = realize(cand, emb, conj, n)
-                ident = fnz.id_fn(n) if space == "FnZ" else lexfn.identity(n)
-                w = dataclasses.replace(
-                    w, conjunct=ci,
-                    assignment={name: w.assignment.get(name, ident)
-                                for name in all_names})
+                if emb is None:
+                    stats["embeddings_refuted"] += 1
+                    continue
+                w = dataclasses.replace(realize(cand, emb, conj, n, names),
+                                        conjunct=ci)
                 if not verify_witness(eq, w):
                     raise AssertionError(
                         "witness failed independent re-verification")
                 return finish(FAILS, w)
-    finally:
-        if executor:
-            executor.shutdown(cancel_futures=True)
+    except BudgetExceeded:  # the enumeration's node budget ran out
+        return finish(UNKNOWN)
 
-    if not stopped and (complete or stats["failing_candidates"] == 0):
+    if complete or stats["failing_candidates"] == 0:
         return finish(VALID)
     return finish(UNKNOWN)
 
 
 def decide_fnz(eq: Union[Equation, str], n: int, complete: bool = False,
-               budget: Optional[int] = None, jobs: int = 1) -> Verdict:
+               budget: Optional[int] = None) -> Verdict:
     """Decide validity of an equation over the n-periodic functions on Z.
 
     Complete mode exhausts the failing-candidate stream and runs every
@@ -339,8 +308,7 @@ def decide_fnz(eq: Union[Equation, str], n: int, complete: bool = False,
     proofs.  Capped mode (the default) stops at a node budget and only
     claims validity when no failing candidate exists at all."""
     return _decide(
-        eq, n, complete, budget, jobs,
-        space="FnZ",
+        eq, n, complete, budget,
         enumerate_failing=lambda conj, nb: enumerate_compatible_surjections(
             conj, require_failure=True, budget=nb),
         chain_of=lambda cand: cand.chain,
@@ -349,7 +317,7 @@ def decide_fnz(eq: Union[Equation, str], n: int, complete: bool = False,
 
 
 def decide_lpn(eq: Union[Equation, str], n: int, complete: bool = False,
-               budget: Optional[int] = None, jobs: int = 1) -> Verdict:
+               budget: Optional[int] = None) -> Verdict:
     """Decide validity of an equation in the n-periodic variety.
 
     Candidates are block-grid diagrams; one spacing embedding of the
@@ -357,8 +325,7 @@ def decide_lpn(eq: Union[Equation, str], n: int, complete: bool = False,
     at once, and a found witness lives on the chain Q x Z with blocks at
     the integer rationals.  Completeness discipline is as in decide_fnz."""
     return _decide(
-        eq, n, complete, budget, jobs,
-        space="FnQxZ",
+        eq, n, complete, budget,
         enumerate_failing=lambda conj, nb: enumerate_partition_diagrams(
             conj, require_failure=True, budget=nb),
         chain_of=lambda cand: cand.slot_chain(),
@@ -367,7 +334,7 @@ def decide_lpn(eq: Union[Equation, str], n: int, complete: bool = False,
 
 
 def decide_dlp(eq: Union[Equation, str], complete: bool = False,
-               budget: Optional[int] = None, jobs: int = 1,
+               budget: Optional[int] = None,
                n_override: Optional[int] = None,
                force: bool = False) -> Verdict:
     """Decide validity in distributive l-pregroups by reduction.
@@ -389,4 +356,4 @@ def decide_dlp(eq: Union[Equation, str], complete: bool = False,
         raise ValueError(
             f"complete decision at the reduced period n={n} is impractical "
             f"on this machine; pass force=True or use n_override")
-    return decide_lpn(eqobj, n, complete=complete, budget=budget, jobs=jobs)
+    return decide_lpn(eqobj, n, complete=complete, budget=budget)

@@ -227,14 +227,24 @@ def parse(text: str) -> Equation:
 
 # ------------------------------------------------------- size and variables
 
+def _strip_inv(t: Term) -> tuple[Term, list[int]]:
+    """The term under a chain of inverses and the chain's exponents.  A
+    postfix chain nests one Inv per "^", so walk it in a loop."""
+    ms = []
+    while isinstance(t, Inv):
+        ms.append(t.m)
+        t = t.arg
+    return t, ms
+
+
 def term_size(t: Term) -> int:
     """Symbol count: variable and unit occurrences, k-ary lattice/monoid
     operations count k-1, an m-fold inverse counts |m|."""
+    t, ms = _strip_inv(t)
+    size = sum(abs(m) for m in ms)
     if isinstance(t, (Var, Unit)):
-        return 1
-    if isinstance(t, Inv):
-        return term_size(t.arg) + abs(t.m)
-    return sum(term_size(a) for a in t.args) + len(t.args) - 1
+        return size + 1
+    return size + sum(term_size(a) for a in t.args) + len(t.args) - 1
 
 
 def equation_size(eq: Equation) -> int:
@@ -242,12 +252,11 @@ def equation_size(eq: Equation) -> int:
 
 
 def variables(t: Term) -> set[str]:
+    t, _ = _strip_inv(t)
     if isinstance(t, Var):
         return {t.name}
-    if isinstance(t, (Unit,)):
+    if isinstance(t, Unit):
         return set()
-    if isinstance(t, Inv):
-        return variables(t.arg)
     return set().union(*(variables(a) for a in t.args))
 
 
@@ -280,12 +289,12 @@ def word_str(w: Word) -> str:
 
 def _push_inv(t: Term, m: int) -> Term:
     """Rewrite t^(m) with inverses applied directly to variables."""
+    t, ms = _strip_inv(t)
+    m += sum(ms)
     if isinstance(t, Unit):
         return t
     if isinstance(t, Var):
         return Inv(t, m) if m else t
-    if isinstance(t, Inv):
-        return _push_inv(t.arg, t.m + m)
     args = tuple(_push_inv(a, m) for a in t.args)
     if isinstance(t, Prod):
         return Prod(args if m % 2 == 0 else args[::-1])

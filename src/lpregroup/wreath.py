@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from . import fnz, lexfn
+from . import fnz
 from .fnz import PeriodicFn
 from .lexfn import LexFn, PLBijection
 

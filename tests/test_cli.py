@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from lpregroup import term
 from lpregroup.cli import main
 
 
@@ -62,6 +63,17 @@ def test_normalize_moves_terms_across(capsys):
     code, out, _ = run(capsys, "normalize", "x <= 1")
     assert code == 0
     assert out.splitlines() == ["1 <= x^(-1)"]
+
+
+def test_normalize_long_inverse_chain(capsys):
+    # one Inv node per "^l": the chain must not cost a stack frame each
+    eq = "x" + "^l" * 1500 + " <= x"
+    code, out, _ = run(capsys, "normalize", eq)
+    assert code == 0
+    assert out.splitlines() == ["1 <= x^(1499) x"]
+    parsed = term.parse(eq)
+    assert term.equation_size(parsed) == 1502
+    assert term.variables(parsed.lhs) == {"x"}
 
 
 def test_normalize_trivial_prints_nothing(capsys):
@@ -130,6 +142,8 @@ def test_dlp_paths(capsys):
     ("verify", "/nonexistent/w.json", "1 <= x"),
     ("decide", "--theory", "fnz", "--n", "1",
      "(" * 2000 + "x" + ")" * 2000 + " <= x"),            # nested too deep
+    ("decide", "--theory", "fnz", "--n", "1",
+     "--jobs", "2", "1 <= x"),                            # no such option
 ])
 def test_config_errors_exit_three(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -151,9 +165,21 @@ def test_internal_error_exits_four(capsys, monkeypatch):
     assert "Traceback" in err and "simulated internal error" in err
 
 
-def test_malformed_witness_file_exits_three(capsys, tmp_path):
+@pytest.mark.parametrize("body", [
+    '{"space": "FnZ"}',
+    '[]',
+    '{"space": "FnZ", "n": 1, "assignment": {"x": 5}, "point": 0}',
+    '{"space": "FnZ", "n": 1, "assignment": {"x": {"n": 1, "vals": [-1]}},'
+    ' "point": null}',
+    '{"space": "Z", "n": 1, "assignment": {"x": {"n": 1, "tilde":'
+    ' {"breakpoints": [], "pieces": [{"slope": "1", "intercept": "0"}]},'
+    ' "components": [{"j": "0", "fn": {"n": 1, "vals": [-1]}}]}},'
+    ' "point": {"q": "0", "z": 0}}',
+], ids=["missing-fields", "list", "bad-function", "null-point",
+        "unknown-space"])
+def test_malformed_witness_file_exits_three(capsys, tmp_path, body):
     path = tmp_path / "junk.json"
-    path.write_text('{"space": "FnZ"}')
+    path.write_text(body)
     code, _, err = run(capsys, "verify", str(path), "1 <= x")
     assert code == 3 and err
 

@@ -12,10 +12,20 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lpregroup import decide, fnz, lexfn, term
+from lpregroup import decide, fnz, lexfn, oracle, term
 from lpregroup.decide import (FAILS, UNKNOWN, VALID, Verdict, Witness,
                               verify_witness, witness_from_json)
+
+
+def assert_stats_contract(v: Verdict):
+    # every candidate drawn gets exactly one embedding attempt, and the
+    # search stops at the first embedding found
+    s = v.stats
+    assert s["failing_candidates"] == (s["embeddings_refuted"]
+                                       + s["attempts_capped"]
+                                       + (v.status == FAILS))
 
 
 # ------------------------------------------------------------ valid corpus
@@ -70,6 +80,7 @@ def test_one_below_x_fails_lpn(n):
     assert v.status == FAILS
     assert v.witness.space == "FnQxZ"
     assert verify_witness("1 <= x", v.witness)
+    assert_stats_contract(v)
 
 
 def test_left_inverse_strict_at_period_two():
@@ -94,6 +105,7 @@ def test_commutativity_separation_at_period_one():
     assert v.status == FAILS
     assert verify_witness("x y = y x", v.witness)
     assert set(v.witness.assignment) == {"x", "y"}
+    assert_stats_contract(v)
     u = decide.decide_fnz("x y = y x", 1)
     assert u.status != FAILS
 
@@ -229,14 +241,49 @@ def test_verdict_json_shape():
     assert data["stats"]["failing_candidates"] == 0
 
 
-def test_parallel_run_matches_single_threaded():
-    a = decide.decide_lpn("x^l = x^r", 2)
-    b = decide.decide_lpn("x^l = x^r", 2, jobs=2)
-    assert a.status == b.status == FAILS
-    assert a.witness.point == b.witness.point
-    assert a.witness.to_json() == b.witness.to_json()
-
-
 def test_rejects_nonpositive_period():
     with pytest.raises(ValueError):
         decide.decide_fnz("1 <= x", 0)
+
+
+# ------------------------------------------------------ differential fuzz
+
+@st.composite
+def terms(draw, size):
+    """Term text of exactly `size` symbols (term.term_size) over x, y and
+    the unit, built from product, join, meet, ^l and ^r."""
+    if size == 1:
+        return draw(st.sampled_from(("x", "y", "1")))
+    op = draw(st.sampled_from((" ", " | ", " & ", "^l", "^r")
+                              if size > 2 else ("^l", "^r")))
+    if op.startswith("^"):
+        return f"({draw(terms(size - 1))}){op}"
+    left = draw(st.integers(1, size - 2))
+    return f"({draw(terms(left))}){op}({draw(terms(size - 1 - left))})"
+
+
+@st.composite
+def equations(draw):
+    # hypothesis favours the simplest draws, so make those the largest
+    size = 6 - draw(st.integers(0, 4))
+    left = draw(st.integers(1, size - 1))
+    rel = draw(st.sampled_from(("=", "<=")))
+    return f"{draw(terms(left))} {rel} {draw(terms(size - left))}"
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(equations(), st.sampled_from(("fnz", "lpn")), st.sampled_from((1, 2)))
+def test_decider_agrees_with_oracle(eq, theory, n):
+    assert term.equation_size(term.parse(eq)) <= 6
+    if theory == "fnz":
+        proc, search = decide.decide_fnz, oracle.search_counterexample_fnz
+    else:
+        proc, search = decide.decide_lpn, oracle.search_counterexample_lex
+    v = proc(eq, n, budget=20_000)
+    w = search(eq, n, budget=30, seed=0)
+    assert_stats_contract(v)
+    if v.status == FAILS:
+        assert verify_witness(eq, v.witness)
+    if w is not None:
+        assert verify_witness(eq, w)
+        assert v.status != VALID, (eq, theory, n, w.to_json())
