@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import fnz
 from .diagram import CChain, SpacingEmbedding
-from .spacing import nu, rho
+from .spacing import nu, rho, tighten
 
 # gap vectors are plain tuples of nonnegative ints, one entry per
 # consecutive pair of chain points
@@ -166,8 +166,8 @@ def solve_bounded_nonneg(system: LinearSystem) -> Optional[GapVector]:
     A consistent system with some nonnegative solution always has one with
     entries at most (l - M + 1) * gamma, where M is the rank and gamma the
     largest absolute M x M minor of the reduced augmented matrix, so the
-    search space is a finite box.  Depth-first search with per-row interval
-    propagation, trying small values first.
+    search space is a finite box.  Depth-first search, trying small values
+    first, with box propagation through spacing.tighten.
     """
     nv = system.num_vars
     if nv == 0:
@@ -180,50 +180,28 @@ def solve_bounded_nonneg(system: LinearSystem) -> Optional[GapVector]:
 
     lo = [0] * nv
     hi = [bound] * nv
-    rows = list(zip(system.rows, system.rhs))
+    # each equality row is the two inequalities row <= rhs, -row <= -rhs
+    ineqs = []
+    for coefs, rhs in zip(system.rows, system.rhs):
+        row = [(i, c) for i, c in enumerate(coefs) if c]
+        ineqs.append((row, rhs))
+        ineqs.append(([(i, -c) for i, c in row], -rhs))
 
     def propagate(lo, hi) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for coefs, rhs in rows:
-                smin = sum(c * (lo[i] if c > 0 else hi[i])
-                           for i, c in enumerate(coefs) if c)
-                smax = sum(c * (hi[i] if c > 0 else lo[i])
-                           for i, c in enumerate(coefs) if c)
-                if not smin <= rhs <= smax:
-                    return False
-                for i, c in enumerate(coefs):
-                    if not c:
-                        continue
-                    rest_min = smin - c * (lo[i] if c > 0 else hi[i])
-                    rest_max = smax - c * (hi[i] if c > 0 else lo[i])
-                    # c*y_i must lie in [rhs - rest_max, rhs - rest_min]
-                    if c > 0:
-                        new_lo = -((rest_max - rhs) // c)
-                        new_hi = (rhs - rest_min) // c
-                    else:
-                        new_lo = -((rhs - rest_min) // -c)
-                        new_hi = (rest_max - rhs) // -c
-                    if new_lo > lo[i]:
-                        lo[i] = new_lo
-                        changed = True
-                    if new_hi < hi[i]:
-                        hi[i] = new_hi
-                        changed = True
-                    if lo[i] > hi[i]:
-                        return False
-        return True
+        while True:
+            before = (tuple(lo), tuple(hi))
+            if not all(tighten(row, rhs, lo, hi) for row, rhs in ineqs):
+                return False
+            if (tuple(lo), tuple(hi)) == before:
+                return True
 
     def dfs(lo, hi) -> Optional[list[int]]:
         if not propagate(lo, hi):
             return None
         free = next((i for i in range(nv) if lo[i] < hi[i]), None)
         if free is None:
-            if all(sum(c * lo[i] for i, c in enumerate(coefs)) == rhs
-                   for coefs, rhs in rows):
-                return lo
-            return None
+            # both inequalities of every row held at this single point
+            return lo
         for v in range(lo[free], hi[free] + 1):
             nlo, nhi = lo[:], hi[:]
             nlo[free] = nhi[free] = v

@@ -233,7 +233,12 @@ def verify_witness(eq: Union[Equation, str], w: Witness) -> bool:
     """Re-check a witness by direct evaluation, independent of the search
     that produced it: every joinand of the claimed conjunct must evaluate
     strictly below the witness point.  Raises KeyError when the
-    assignment is missing a variable of that conjunct."""
+    assignment is missing a variable of that conjunct, and ValueError when
+    an assigned function's period is not the witness's."""
+    for name, f in w.assignment.items():
+        if f.n != w.n:
+            raise ValueError(f"malformed witness: {name} has period {f.n}, "
+                             f"the witness claims {w.n}")
     conjuncts = term.conjuncts(eq)
     if not 0 <= w.conjunct < len(conjuncts):
         return False
@@ -253,6 +258,8 @@ def _decide(eq: Union[Equation, str], n: int, complete: bool,
             realize) -> Verdict:
     if n < 1:
         raise ValueError(f"period must be positive, got {n}")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     conjuncts = term.conjuncts(eq)
     names = term.variables_of(conjuncts)
     mode = "complete" if complete else "capped"

@@ -109,6 +109,13 @@ def _small_lexfns(n: int) -> list[LexFn]:
 
 # --------------------------------------------------------------- the scans
 
+def _check_args(n: int, budget: int) -> None:
+    if n < 1:
+        raise ValueError(f"period must be positive, got {n}")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+
+
 def _failing_conjunct(conjuncts, assignment, points, ev):
     """First (conjunct index, point, joinand evaluations) where every
     joinand lands strictly below the point, or None."""
@@ -153,6 +160,7 @@ def search_counterexample_fnz(eq: Union[Equation, str], n: int,
     counts assignments tried; each one is checked at one period's worth
     of points, which is exact because failing points recur n-periodically.
     """
+    _check_args(n, budget)
     conjuncts = term.conjuncts(eq)
     names = term.variables_of(conjuncts)
     if not conjuncts or not names:
@@ -202,6 +210,7 @@ def search_counterexample_lex(eq: Union[Equation, str], n: int,
     block coordinate from the assignment's own breakpoints and supports
     with one period's worth of integer slots.
     """
+    _check_args(n, budget)
     conjuncts = term.conjuncts(eq)
     names = term.variables_of(conjuncts)
     if not conjuncts or not names:

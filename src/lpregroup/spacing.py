@@ -11,6 +11,17 @@ of height at most nu(size, n), so searches over embeddings can be cut off
 at these bounds without losing completeness (complete_cap).  The bounds
 module constructs such re-spacings; the deciders need only the search
 find_witness_embedding.
+
+Both searches are over integer boxes of gap values and prune with one
+rule, tighten: narrow the box to the points that satisfy one linear
+inequality, given as a sparse row.  The embedding search feeds it the
+height cap, both sides of every ceil constraint, each constraint's
+cancelled row and, at n = 1, the translation closure's rows; the bounds
+module's solver feeds it both signs of each equality row.  The cancelled
+rows exist because propagating the two sides of a ceil constraint
+separately transfers their difference over shared gaps one pass at a
+time, far too slowly for completeness-scale caps; in the row Y - X the
+shared gaps cancel algebraically.
 """
 
 from __future__ import annotations
@@ -52,6 +63,42 @@ def _ceil_div(a: int, n: int) -> int:
     return -(a // -n)
 
 
+def _segment(a: int, b: int) -> list[tuple[int, int]]:
+    """P(a) - P(b) over the gaps, as a sparse row of (gap, coefficient)
+    pairs; gap k spans points k and k + 1."""
+    if a > b:
+        return [(k, 1) for k in range(b, a)]
+    return [(k, -1) for k in range(a, b)]
+
+
+def tighten(row, rhs: int, lo: list[int], hi: list[int]) -> bool:
+    """One pass of box consistency for sum(c * gap[k] for k, c in row) <=
+    rhs over a sparse row of (k, c) pairs with c nonzero: narrow each
+    gap's [lo, hi] to the values some point of the box allows.  Returns
+    False when no point of the box satisfies the row.
+
+    No bound can cross its partner: once the row's minimum over the box,
+    base, is at most rhs, each gap keeps the slack rhs - base >= 0 above
+    its own minimizing bound, so the new bounds stay inside the old box.
+    For a single inequality one pass is exact."""
+    base = 0
+    for k, c in row:
+        base += c * (lo[k] if c > 0 else hi[k])
+    slack = rhs - base
+    if slack < 0:
+        return False
+    for k, c in row:
+        if c > 0:
+            top = lo[k] + slack // c
+            if top < hi[k]:
+                hi[k] = top
+        else:
+            bottom = hi[k] - slack // -c
+            if bottom > lo[k]:
+                lo[k] = bottom
+    return True
+
+
 def _translation_closure(fns, ngaps, fixed, cap):
     """Exact linear reasoning for n = 1, where a counterpart is periodic
     iff it is a partial translation: consecutive pairs of each function
@@ -59,7 +106,8 @@ def _translation_closure(fns, ngaps, fixed, cap):
     either refutes the system outright (rank or interval contradiction)
     or returns its reduced rows, whose cancelled combinations sharpen
     interval propagation far beyond the raw constraints.  Returns None
-    when refuted, else a list of integer equality rows (coeffs, rhs)."""
+    when refuted, else a list of integer equality rows (row, rhs), each
+    row sparse as in tighten."""
     rows = []
     for g in fns:
         pairs = sorted(g.pairs)
@@ -99,11 +147,11 @@ def _translation_closure(fns, ngaps, fixed, cap):
                 return None
             continue
         scale = math.lcm(*(c.denominator for c in row + [rhs]))
-        irow = [int(c * scale) for c in row]
+        irow = [(k, int(c * scale)) for k, c in enumerate(row) if c]
         irhs = int(rhs * scale)
         # sound interval refutation: every non-fixed gap lies in [1, cap]
-        low = sum(c * (1 if c > 0 else cap) for c in irow if c)
-        high = sum(c * (cap if c > 0 else 1) for c in irow if c)
+        low = sum(c * (1 if c > 0 else cap) for _, c in irow)
+        high = sum(c * (cap if c > 0 else 1) for _, c in irow)
         if not low <= irhs <= high:
             return None
         out.append((irow, irhs))
@@ -128,8 +176,8 @@ def find_witness_embedding(chain: CChain,
 
     n-periodicity of a counterpart is the pairwise condition
     ceil((e(y)-e(y'))/n) <= ceil((e(x)-e(x'))/n) over pairs (x,y), (x',y')
-    of each function; both sides are signed sums of gaps, so interval
-    propagation over the gap domains prunes the search.
+    of each function; both sides are signed sums of gaps, so box
+    propagation (tighten) over the gap domains prunes the search.
     """
     if isinstance(fns, Mapping):
         fns = list(fns.values())
@@ -142,30 +190,14 @@ def find_witness_embedding(chain: CChain,
     if ngaps == 0:
         return SpacingEmbedding(chain, (0,))
 
-    # constraints: (ya, yb, xa, xb) demanding
-    #   ceil((P(ya)-P(yb))/n) <= ceil((P(xa)-P(xb))/n)
-    constraints = []
-    for g in fns:
-        for (x1, y1), (x2, y2) in itertools.permutations(g.pairs, 2):
-            constraints.append((y1, y2, x1, x2))
-
-    def coef(a, b):
-        """Gap coefficients of P(a) - P(b)."""
-        row = [0] * ngaps
-        for k in range(min(a, b), max(a, b)):
-            row[k] = 1 if a > b else -1
-        return row
-
-    # each constraint also implies the linear row (Y - X) <= n - 1 over the
-    # gaps.  Shared gaps cancel algebraically here, which matters: when Y
-    # and X overlap, interval propagation only transfers their difference
-    # one pass at a time, far too slowly for completeness-scale caps
-    rows = []
-    for ya, yb, xa, xb in constraints:
-        cy, cx = coef(ya, yb), coef(xa, xb)
-        row = [p - q for p, q in zip(cy, cx)]
-        if any(row):
-            rows.append((row, n - 1))
+    # the n = 1 closure refutes most problems outright, so it runs before
+    # any row is built
+    closure = []
+    if n == 1:
+        fixed = {b - 1 for a, b in chain.covers}
+        closure = _translation_closure(fns, ngaps, fixed, cap)
+        if closure is None:
+            return None
 
     lo = [1] * ngaps
     hi = [cap - (ngaps - 1)] * ngaps
@@ -174,108 +206,42 @@ def find_witness_embedding(chain: CChain,
     if any(l > h for l, h in zip(lo, hi)):
         return None
 
-    def seg(a, b, lo, hi):
-        """Interval of P(b) - P(a) for a <= b (gap k spans points k, k+1)."""
-        return (sum(lo[a:b]), sum(hi[a:b]))
-
-    def diff_interval(a, b, lo, hi):
-        """Interval of P(a) - P(b)."""
-        if a >= b:
-            s = seg(b, a, lo, hi)
-            return s
-        s = seg(a, b, lo, hi)
-        return (-s[1], -s[0])
-
-    def tighten_upper(a, b, bound, lo, hi):
-        """Constrain P(b) - P(a) <= bound (a <= b)."""
-        ok = True
-        smin, _ = seg(a, b, lo, hi)
-        if smin > bound:
-            return False
-        for k in range(a, b):
-            new = bound - (smin - lo[k])
-            if new < hi[k]:
-                hi[k] = new
-                if lo[k] > hi[k]:
-                    ok = False
-        return ok
-
-    def tighten_lower(a, b, bound, lo, hi):
-        """Constrain P(b) - P(a) >= bound (a <= b)."""
-        ok = True
-        _, smax = seg(a, b, lo, hi)
-        if smax < bound:
-            return False
-        for k in range(a, b):
-            new = bound - (smax - hi[k])
-            if new > lo[k]:
-                lo[k] = new
-                if lo[k] > hi[k]:
-                    ok = False
-        return ok
-
-    def bound_diff_upper(a, b, bound, lo, hi):
-        """Constrain P(a) - P(b) <= bound."""
-        if a >= b:
-            return tighten_upper(b, a, bound, lo, hi)
-        return tighten_lower(a, b, -bound, lo, hi)
-
-    def bound_diff_lower(a, b, bound, lo, hi):
-        """Constrain P(a) - P(b) >= bound."""
-        if a >= b:
-            return tighten_lower(b, a, bound, lo, hi)
-        return tighten_upper(a, b, -bound, lo, hi)
-
-    if n == 1:
-        fixed = {b - 1 for a, b in chain.covers}
-        closure = _translation_closure(fns, ngaps, fixed, cap)
-        if closure is None:
-            return None
-        for irow, irhs in closure:
-            rows.append((irow, irhs))
-            rows.append(([-c for c in irow], -irhs))
-
-    def linear_rows(lo, hi) -> bool:
-        """One-shot box consistency for the cancelled linear rows."""
-        for row, rhs in rows:
-            base = sum(c * (lo[k] if c > 0 else hi[k])
-                       for k, c in enumerate(row) if c)
-            if base > rhs:
-                return False
-            for k, c in enumerate(row):
-                if not c:
-                    continue
-                slack = rhs - base + c * (lo[k] if c > 0 else hi[k])
-                if c > 0:
-                    if slack // c < hi[k]:
-                        hi[k] = slack // c
-                else:
-                    if -(slack // -c) > lo[k]:
-                        lo[k] = -(slack // -c)
-                if lo[k] > hi[k]:
-                    return False
-        return True
+    # constraints: (Y, -X) with Y = P(y1) - P(y2) and X = P(x1) - P(x2),
+    # demanding ceil(Y/n) <= ceil(X/n).  Each also implies the cancelled
+    # row Y - X <= n - 1 (see the module docstring).  The height cap is
+    # the first row
+    constraints, rows = [], [([(k, 1) for k in range(ngaps)], cap)]
+    for g in fns:
+        for (x1, y1), (x2, y2) in itertools.permutations(g.pairs, 2):
+            y, negx = _segment(y1, y2), _segment(x2, x1)
+            constraints.append((y, negx))
+            diff = dict(y)
+            for k, c in negx:
+                diff[k] = diff.get(k, 0) + c
+            row = [(k, c) for k, c in diff.items() if c]
+            if row:
+                rows.append((row, n - 1))
+    for row, rhs in closure:
+        rows.append((row, rhs))
+        rows.append(([(k, -c) for k, c in row], -rhs))
 
     max_passes = 20 * (ngaps + len(constraints) + 1)
 
     def propagate(lo, hi) -> bool:
         for _ in range(max_passes):
             before = (tuple(lo), tuple(hi))
-            if not tighten_upper(0, ngaps, cap, lo, hi):
-                return False
-            if not linear_rows(lo, hi):
-                return False
-            for ya, yb, xa, xb in constraints:
-                xlo, xhi = diff_interval(xa, xb, lo, hi)
-                ylo, yhi = diff_interval(ya, yb, lo, hi)
-                if _ceil_div(ylo, n) > _ceil_div(xhi, n):
+            for row, rhs in rows:
+                if not tighten(row, rhs, lo, hi):
                     return False
-                if not bound_diff_upper(ya, yb, n * _ceil_div(xhi, n),
-                                        lo, hi):
+            for y, negx in constraints:
+                xhi = -sum(c * (lo[k] if c > 0 else hi[k]) for k, c in negx)
+                ylo = sum(c * (lo[k] if c > 0 else hi[k]) for k, c in y)
+                # Y <= n * ceil(X_hi / n) also refutes ceil(Y_lo / n) >
+                # ceil(X_hi / n); X >= n * (ceil(Y_lo / n) - 1) + 1
+                if not tighten(y, n * _ceil_div(xhi, n), lo, hi):
                     return False
-                if not bound_diff_lower(xa, xb,
-                                        n * (_ceil_div(ylo, n) - 1) + 1,
-                                        lo, hi):
+                if not tighten(negx, -n * (_ceil_div(ylo, n) - 1) - 1,
+                               lo, hi):
                     return False
             if (tuple(lo), tuple(hi)) == before:
                 return True

@@ -144,6 +144,10 @@ def test_dlp_paths(capsys):
      "(" * 2000 + "x" + ")" * 2000 + " <= x"),            # nested too deep
     ("decide", "--theory", "fnz", "--n", "1",
      "--jobs", "2", "1 <= x"),                            # no such option
+    ("decide", "--theory", "fnz", "--n", "1",
+     "--budget", "-5", "1 <= x"),                         # negative budget
+    ("oracle", "--theory", "fnz", "--n", "1",
+     "--budget", "-3", "1 <= x"),                         # negative budget
 ])
 def test_config_errors_exit_three(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -175,8 +179,11 @@ def test_internal_error_exits_four(capsys, monkeypatch):
     ' {"breakpoints": [], "pieces": [{"slope": "1", "intercept": "0"}]},'
     ' "components": [{"j": "0", "fn": {"n": 1, "vals": [-1]}}]}},'
     ' "point": {"q": "0", "z": 0}}',
+    '{"space": "FnZ", "n": 1, "assignment": {"x": {"n": 2, "vals":'
+    ' [-2, -2]}, "y": {"n": 2, "vals": [-2, 0]}}, "point": 1,'
+    ' "conjunct": 0}',
 ], ids=["missing-fields", "list", "bad-function", "null-point",
-        "unknown-space"])
+        "unknown-space", "wrong-period"])
 def test_malformed_witness_file_exits_three(capsys, tmp_path, body):
     path = tmp_path / "junk.json"
     path.write_text(body)

@@ -156,6 +156,13 @@ def test_verify_requires_all_variables():
         verify_witness("1 <= x", w)
 
 
+def test_verify_rejects_mismatched_period():
+    # a 2-periodic function on Q x Z is no witness at period 1
+    w = Witness("FnQxZ", 1, {"x": lexfn.identity(2)}, (0, 0))
+    with pytest.raises(ValueError, match="period"):
+        verify_witness("1 <= x", w)
+
+
 def test_verify_rejects_out_of_range_conjunct():
     v = decide.decide_fnz("1 <= x", 1)
     w = v.witness

@@ -131,6 +131,15 @@ def test_zero_budget_finds_nothing():
     assert oracle.search_counterexample_lex("1 <= x", 1, budget=0) is None
 
 
+def test_rejects_bad_period_and_budget():
+    for search in (oracle.search_counterexample_fnz,
+                   oracle.search_counterexample_lex):
+        with pytest.raises(ValueError, match="period"):
+            search("1 <= x", 0)
+        with pytest.raises(ValueError, match="budget"):
+            search("1 <= x", 1, budget=-1)
+
+
 def test_trivial_equation_finds_nothing():
     assert oracle.search_counterexample_fnz("x = x", 2, budget=100) is None
 

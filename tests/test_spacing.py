@@ -13,7 +13,8 @@ from lpregroup.bounds import (
     LinearSystem, build_1transfer_system, find_short_1transfer,
     find_short_ntransfer, solve_bounded_nonneg, transfers_periodicity,
 )
-from lpregroup.spacing import BudgetExceeded, find_witness_embedding, nu, rho
+from lpregroup.spacing import (BudgetExceeded, find_witness_embedding, nu,
+                               rho, tighten)
 
 
 # --------------------------------------------------------------- oracles
@@ -155,6 +156,46 @@ def test_solver_vs_oracle(system):
         assert got <= expect
     if got is not None and max(got, default=0) <= 6:
         assert expect == got
+
+
+# ------------------------------------------------------ box propagation
+
+@st.composite
+def boxed_rows(draw, nvars=4):
+    """A sparse row of 1-3 nonzero coefficients in [-2, 2], a rhs, and a
+    box inside [0, 6]^nvars."""
+    ks = draw(st.lists(st.integers(0, nvars - 1), min_size=1, max_size=3,
+                       unique=True))
+    row = [(k, draw(st.sampled_from((-2, -1, 1, 2)))) for k in ks]
+    rhs = draw(st.integers(-14, 14))
+    lo, hi = [], []
+    for _ in range(nvars):
+        a, b = sorted(draw(st.lists(st.integers(0, 6), min_size=2,
+                                    max_size=2)))
+        lo.append(a)
+        hi.append(b)
+    return row, rhs, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxed_rows())
+def test_tighten_matches_bruteforce(instance):
+    row, rhs, lo, hi = instance
+    ks = [k for k, _ in row]
+    sats = [pt for pt in itertools.product(
+                *(range(lo[k], hi[k] + 1) for k in ks))
+            if sum(c * v for (_, c), v in zip(row, pt)) <= rhs]
+    new_lo, new_hi = lo[:], hi[:]
+    ok = tighten(row, rhs, new_lo, new_hi)
+    assert ok == bool(sats)
+    if not ok:
+        return
+    # one pass is exact for a single inequality: each bound is attained
+    for i, k in enumerate(ks):
+        assert new_lo[k] == min(pt[i] for pt in sats)
+        assert new_hi[k] == max(pt[i] for pt in sats)
+    for k in set(range(len(lo))) - set(ks):
+        assert (new_lo[k], new_hi[k]) == (lo[k], hi[k])
 
 
 # ------------------------------------------------------ transfer property
