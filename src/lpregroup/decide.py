@@ -267,12 +267,13 @@ def _decide(eq: Union[Equation, str], n: int, complete: bool,
         budget = None if complete else DEFAULT_NODE_BUDGET
     nb = NodeBudget(budget)
     stats = {"failing_candidates": 0, "embeddings_refuted": 0,
-             "attempts_capped": 0}
+             "attempts_capped": 0, "embed_s": 0.0}
     t0 = time.perf_counter()
 
     def finish(status, witness=None):
         stats["nodes"] = nb.used
         stats["time_s"] = round(time.perf_counter() - t0, 3)
+        stats["embed_s"] = round(stats["embed_s"], 3)
         return Verdict(status, n, mode, witness, stats)
 
     try:
@@ -280,15 +281,19 @@ def _decide(eq: Union[Equation, str], n: int, complete: bool,
             for cand in enumerate_failing(conj, nb):
                 stats["failing_candidates"] += 1
                 chain = chain_of(cand)
+                fns = fns_of(cand)
+                t_embed = time.perf_counter()
                 try:
                     emb = spacing.find_witness_embedding(
-                        chain, fns_of(cand), n,
+                        chain, fns, n,
                         cap=spacing.complete_cap(chain.size, n)
                         if complete else None,
                         node_budget=None if complete else EMBED_NODE_BUDGET)
                 except BudgetExceeded:
                     stats["attempts_capped"] += 1
                     continue
+                finally:
+                    stats["embed_s"] += time.perf_counter() - t_embed
                 if emb is None:
                     stats["embeddings_refuted"] += 1
                     continue

@@ -16,19 +16,19 @@ Both searches are over integer boxes of gap values and prune with one
 rule, tighten: narrow the box to the points that satisfy one linear
 inequality, given as a sparse row.  The embedding search feeds it the
 height cap, both sides of every ceil constraint, each constraint's
-cancelled row and, at n = 1, the translation closure's rows; the bounds
-module's solver feeds it both signs of each equality row.  The cancelled
-rows exist because propagating the two sides of a ceil constraint
-separately transfers their difference over shared gaps one pass at a
-time, far too slowly for completeness-scale caps; in the row Y - X the
-shared gaps cancel algebraically.
+cancelled row and, at n = 1, the rows that integer elimination leaves of
+the translation equalities (_translation_closure); the bounds module's
+solver feeds it both signs of each equality row.  The cancelled rows
+exist because propagating the two sides of a ceil constraint separately
+transfers their difference over shared gaps one pass at a time, far too
+slowly for completeness-scale caps; in the row Y - X the shared gaps
+cancel algebraically.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from . import fnz
@@ -102,25 +102,33 @@ def tighten(row, rhs: int, lo: list[int], hi: list[int]) -> bool:
 def _translation_closure(fns, ngaps, fixed, cap):
     """Exact linear reasoning for n = 1, where a counterpart is periodic
     iff it is a partial translation: consecutive pairs of each function
-    force segment-sum equalities over the gaps.  Gaussian elimination
-    either refutes the system outright (rank or interval contradiction)
-    or returns its reduced rows, whose cancelled combinations sharpen
-    interval propagation far beyond the raw constraints.  Returns None
-    when refuted, else a list of integer equality rows (row, rhs), each
-    row sparse as in tighten."""
+    force segment-sum equalities over the gaps.  Integer (fraction-free)
+    elimination either refutes the system outright (rank or interval
+    contradiction) or returns its reduced rows, whose cancelled
+    combinations sharpen interval propagation far beyond the raw
+    constraints.  Returns None when refuted, else a list of integer
+    equality rows (row, rhs), each row sparse as in tighten.
+
+    Eliminating column col of row r with pivot row p replaces r by
+    |p[col]| * r - sign(p[col]) * r[col] * p, then divides by the positive
+    gcd of the result.  Every row therefore stays a positive multiple of
+    the row that elimination over the rationals would give, with the same
+    zero pattern, so pivots, row swaps and refutations are the same as
+    there.  Scaling a row and its rhs by lambda > 0 changes neither the
+    interval refutation nor tighten, since floor(lambda s / (lambda c)) =
+    floor(s / c)."""
     rows = []
     for g in fns:
-        pairs = sorted(g.pairs)
-        for (x1, y1), (x2, y2) in zip(pairs, pairs[1:]):
-            row = [Fraction(0)] * ngaps
+        for (x1, y1), (x2, y2) in zip(g.pairs, g.pairs[1:]):
+            row = [0] * ngaps
             for k in range(min(x1, x2), max(x1, x2)):
                 row[k] += 1 if x2 > x1 else -1
             for k in range(min(y1, y2), max(y1, y2)):
                 row[k] -= 1 if y2 > y1 else -1
-            rhs = Fraction(0)
+            rhs = 0
             for k in fixed:
                 rhs -= row[k]
-                row[k] = Fraction(0)
+                row[k] = 0
             if any(row):
                 rows.append((row, rhs))
             elif rhs:
@@ -134,11 +142,19 @@ def _translation_closure(fns, ngaps, fixed, cap):
             continue
         rows[piv], rows[j] = rows[j], rows[piv]
         prow, prhs = rows[piv]
+        p = prow[col]
         for i in range(len(rows)):
-            if i != piv and rows[i][0][col]:
-                f = rows[i][0][col] / prow[col]
-                rows[i] = ([a - f * b for a, b in zip(rows[i][0], prow)],
-                           rows[i][1] - f * prhs)
+            row, rhs = rows[i]
+            c = row[col]
+            if i != piv and c:
+                a, b = (p, c) if p > 0 else (-p, -c)
+                row = [a * r - b * q for r, q in zip(row, prow)]
+                rhs = a * rhs - b * prhs
+                d = math.gcd(rhs, *row)
+                if d > 1:
+                    row = [r // d for r in row]
+                    rhs //= d
+                rows[i] = (row, rhs)
         piv += 1
     out = []
     for row, rhs in rows:
@@ -146,15 +162,13 @@ def _translation_closure(fns, ngaps, fixed, cap):
             if rhs:
                 return None
             continue
-        scale = math.lcm(*(c.denominator for c in row + [rhs]))
-        irow = [(k, int(c * scale)) for k, c in enumerate(row) if c]
-        irhs = int(rhs * scale)
+        irow = [(k, c) for k, c in enumerate(row) if c]
         # sound interval refutation: every non-fixed gap lies in [1, cap]
         low = sum(c * (1 if c > 0 else cap) for _, c in irow)
         high = sum(c * (cap if c > 0 else 1) for _, c in irow)
-        if not low <= irhs <= high:
+        if not low <= rhs <= high:
             return None
-        out.append((irow, irhs))
+        out.append((irow, rhs))
     return out
 
 
@@ -288,7 +302,8 @@ def find_witness_embedding(chain: CChain,
     for gsize in gaps:
         positions.append(positions[-1] + gsize)
     out = SpacingEmbedding(chain, tuple(positions))
-    assert out.height <= cap
+    if out.height > cap:
+        raise AssertionError("solution must respect the height cap")
     for g in fns:
         cp = {out(x): out(y) for x, y in g.pairs}
         if not fnz.is_periodic_pairs(cp, n):

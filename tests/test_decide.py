@@ -26,6 +26,8 @@ def assert_stats_contract(v: Verdict):
     assert s["failing_candidates"] == (s["embeddings_refuted"]
                                        + s["attempts_capped"]
                                        + (v.status == FAILS))
+    # the embedding attempts' time is part of the total
+    assert 0 <= s["embed_s"] <= s["time_s"]
 
 
 # ------------------------------------------------------------ valid corpus

@@ -2,6 +2,8 @@
 bounded nonnegative solver behind them."""
 
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,9 +279,9 @@ def test_witness_budget():
 
 
 @st.composite
-def witness_instances(draw):
-    size = draw(st.integers(2, 5))
-    nfns = draw(st.integers(1, 2))
+def witness_instances(draw, max_size=5, max_fns=2, max_n=3):
+    size = draw(st.integers(2, max_size))
+    nfns = draw(st.integers(1, max_fns))
     fns = []
     for _ in range(nfns):
         dom = draw(st.lists(st.integers(0, size - 1), min_size=1,
@@ -290,7 +292,7 @@ def witness_instances(draw):
         fns.append(PartialFn.from_mapping(dict(zip(dom, vals))))
     covers = frozenset((i, i + 1) for i in range(size - 1)
                        if draw(st.booleans()))
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_n))
     return CChain(size, covers), fns, n
 
 
@@ -308,3 +310,80 @@ def test_witness_matches_bruteforce(instance):
         gaps = tuple(got.positions[i + 1] - got.positions[i]
                      for i in range(chain.size - 1))
         assert gaps == expect
+
+
+# ---------------------------------------------------- translation closure
+
+def _fraction_closure(fns, ngaps, fixed, cap):
+    """The closure by Gaussian elimination over Fractions, kept as the
+    reference for the integer elimination in spacing._translation_closure."""
+    rows = []
+    for g in fns:
+        pairs = sorted(g.pairs)
+        for (x1, y1), (x2, y2) in zip(pairs, pairs[1:]):
+            row = [Fraction(0)] * ngaps
+            for k in range(min(x1, x2), max(x1, x2)):
+                row[k] += 1 if x2 > x1 else -1
+            for k in range(min(y1, y2), max(y1, y2)):
+                row[k] -= 1 if y2 > y1 else -1
+            rhs = Fraction(0)
+            for k in fixed:
+                rhs -= row[k]
+                row[k] = Fraction(0)
+            if any(row):
+                rows.append((row, rhs))
+            elif rhs:
+                return None
+    piv = 0
+    for col in range(ngaps):
+        if col in fixed:
+            continue
+        j = next((i for i in range(piv, len(rows)) if rows[i][0][col]), None)
+        if j is None:
+            continue
+        rows[piv], rows[j] = rows[j], rows[piv]
+        prow, prhs = rows[piv]
+        for i in range(len(rows)):
+            if i != piv and rows[i][0][col]:
+                f = rows[i][0][col] / prow[col]
+                rows[i] = ([a - f * b for a, b in zip(rows[i][0], prow)],
+                           rows[i][1] - f * prhs)
+        piv += 1
+    out = []
+    for row, rhs in rows:
+        if not any(row):
+            if rhs:
+                return None
+            continue
+        scale = math.lcm(*(c.denominator for c in row + [rhs]))
+        irow = [(k, int(c * scale)) for k, c in enumerate(row) if c]
+        irhs = int(rhs * scale)
+        # sound interval refutation: every non-fixed gap lies in [1, cap]
+        low = sum(c * (1 if c > 0 else cap) for _, c in irow)
+        high = sum(c * (cap if c > 0 else 1) for _, c in irow)
+        if not low <= irhs <= high:
+            return None
+        out.append((irow, irhs))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(witness_instances(max_size=7, max_fns=3, max_n=1), st.integers(1, 12))
+def test_translation_closure_matches_fraction_reference(instance, small_cap):
+    chain, fns, _ = instance
+    ngaps = chain.size - 1
+    fixed = {b - 1 for _, b in chain.covers}
+    for cap in (spacing.complete_cap(chain.size, 1), small_cap):
+        got = spacing._translation_closure(fns, ngaps, fixed, cap)
+        expect = _fraction_closure(fns, ngaps, fixed, cap)
+        assert (got is None) == (expect is None)
+        if got is None:
+            continue
+        assert len(got) == len(expect)
+        for (row, rhs), (ref, ref_rhs) in zip(got, expect):
+            assert [k for k, _ in row] == [k for k, _ in ref]
+            # (row, rhs) = lam * (ref, ref_rhs) for some lam = a / b > 0
+            a, b = row[0][1], ref[0][1]
+            assert a * b > 0
+            assert all(c * b == r * a for (_, c), (_, r) in zip(row, ref))
+            assert rhs * b == ref_rhs * a
