@@ -118,11 +118,15 @@ def iter_bracket(pairs: Mapping[int, int],
             if c in cur and d in cur:
                 if m > 0:
                     for x in range(cur[c] + 1, cur[d] + 1):
-                        assert nxt.get(x, d) == d
+                        if nxt.get(x, d) != d:
+                            raise AssertionError(
+                                f"two bracket values at {x}: {nxt[x]}, {d}")
                         nxt[x] = d
                 else:
                     for x in range(cur[c], cur[d]):
-                        assert nxt.get(x, c) == c
+                        if nxt.get(x, c) != c:
+                            raise AssertionError(
+                                f"two bracket values at {x}: {nxt[x]}, {c}")
                         nxt[x] = c
         cur = nxt
     return cur

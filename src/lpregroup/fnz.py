@@ -111,7 +111,8 @@ def linv(f: PeriodicFn) -> PeriodicFn:
         b = a - hi_off - f.n
         while eval(f, b) < a:
             b += 1
-        assert b <= a - lo_off + f.n
+        if b > a - lo_off + f.n:
+            raise AssertionError(f"linv({a}) = {b} outside its window")
         out.append(b)
     return PeriodicFn(f.n, tuple(out))
 
@@ -124,7 +125,8 @@ def rinv(f: PeriodicFn) -> PeriodicFn:
         a = b - lo_off + f.n
         while eval(f, a) > b:
             a -= 1
-        assert a >= b - hi_off - f.n
+        if a < b - hi_off - f.n:
+            raise AssertionError(f"rinv({b}) = {a} outside its window")
         out.append(a)
     return PeriodicFn(f.n, tuple(out))
 
@@ -152,7 +154,8 @@ def decompose(f: PeriodicFn) -> tuple[int, PeriodicFn]:
     f(x) = star(x) + shift, shift = n*floor(f(0)/n), star(0) in [0, n)."""
     shift = f.vals[0] - f.vals[0] % f.n
     star = PeriodicFn(f.n, tuple(v - shift for v in f.vals))
-    assert 0 <= star.vals[0] < f.n
+    if not 0 <= star.vals[0] < f.n:
+        raise AssertionError(f"star part starts outside [0, n): {star}")
     return shift, star
 
 

@@ -150,38 +150,34 @@ def _candidate_blocks(assignment) -> list[Fraction]:
     return sorted(out)
 
 
-def search_counterexample_fnz(eq: Union[Equation, str], n: int,
-                              budget: int = DEFAULT_BUDGET,
-                              seed: int = 0) -> Optional[Witness]:
-    """Look for a failing assignment of n-periodic functions on Z.
-
-    Exhausts the tightest value bound first when the variable count makes
-    that affordable, then samples with escalating bounds.  The budget
-    counts assignments tried; each one is checked at one period's worth
-    of points, which is exact because failing points recur n-periodically.
-    """
-    _check_args(n, budget)
+def _search(eq: Union[Equation, str], n: int, budget: int, seed: int,
+            space: str, ev, points, pool, pool_size: int, cap: int,
+            draw) -> Optional[Witness]:
+    """The scan both searches share.  When pool_size ** (variable count)
+    fits in min(budget, cap), every assignment from the pool is tried
+    first; the rest of the budget samples draw(n, bound, rng) per
+    variable in equal slices over the bounds _STAGES * n.  Each
+    assignment is scanned at points(assignment), and a hit is re-verified
+    before it is returned."""
     conjuncts = term.conjuncts(eq)
     names = term.variables_of(conjuncts)
     if not conjuncts or not names:
         return None
     rng = random.Random(seed)
-    points = range(n)
     spent = 0
 
     def attempt(assignment):
-        hit = _failing_conjunct(conjuncts, assignment, points,
-                                fnz.eval_word)
+        hit = _failing_conjunct(conjuncts, assignment, points(assignment),
+                                ev)
         if hit is None:
             return None
         ci, p, checked = hit
-        w = Witness("FnZ", n, dict(assignment), p, ci, checked)
+        w = Witness(space, n, dict(assignment), p, ci, checked)
         if not verify_witness(eq, w):
             raise AssertionError("oracle witness failed re-verification")
         return w
 
-    if count_periodic_fns(n, n) ** len(names) <= min(budget, 30_000):
-        pool = list(all_periodic_fns(n, n))
+    if pool_size ** len(names) <= min(budget, cap):
         for combo in itertools.product(pool, repeat=len(names)):
             spent += 1
             w = attempt(dict(zip(names, combo)))
@@ -194,11 +190,26 @@ def search_counterexample_fnz(eq: Union[Equation, str], n: int,
         remaining -= quota
         bound = mult * n
         for _ in range(quota):
-            asg = {nm: random_periodic_fn(n, bound, rng) for nm in names}
-            w = attempt(asg)
+            w = attempt({nm: draw(n, bound, rng) for nm in names})
             if w:
                 return w
     return None
+
+
+def search_counterexample_fnz(eq: Union[Equation, str], n: int,
+                              budget: int = DEFAULT_BUDGET,
+                              seed: int = 0) -> Optional[Witness]:
+    """Look for a failing assignment of n-periodic functions on Z.
+
+    Exhausts the tightest value bound first when the variable count makes
+    that affordable, then samples with escalating bounds.  The budget
+    counts assignments tried; each one is checked at one period's worth
+    of points, which is exact because failing points recur n-periodically.
+    """
+    _check_args(n, budget)
+    return _search(eq, n, budget, seed, "FnZ", fnz.eval_word,
+                   lambda asg: range(n), all_periodic_fns(n, n),
+                   count_periodic_fns(n, n), 30_000, random_periodic_fn)
 
 
 def search_counterexample_lex(eq: Union[Equation, str], n: int,
@@ -211,42 +222,8 @@ def search_counterexample_lex(eq: Union[Equation, str], n: int,
     with one period's worth of integer slots.
     """
     _check_args(n, budget)
-    conjuncts = term.conjuncts(eq)
-    names = term.variables_of(conjuncts)
-    if not conjuncts or not names:
-        return None
-    rng = random.Random(seed)
-    spent = 0
-
-    def attempt(assignment):
-        points = [(j, z) for j in _candidate_blocks(assignment)
-                  for z in range(n)]
-        hit = _failing_conjunct(conjuncts, assignment, points,
-                                lexfn.eval_word)
-        if hit is None:
-            return None
-        ci, p, checked = hit
-        w = Witness("FnQxZ", n, dict(assignment), p, ci, checked)
-        if not verify_witness(eq, w):
-            raise AssertionError("oracle witness failed re-verification")
-        return w
-
     family = _small_lexfns(n)
-    if len(family) ** len(names) <= min(budget, 10_000):
-        for combo in itertools.product(family, repeat=len(names)):
-            spent += 1
-            w = attempt(dict(zip(names, combo)))
-            if w:
-                return w
-
-    remaining = budget - spent
-    for i, mult in enumerate(_STAGES):
-        quota = remaining // (len(_STAGES) - i)
-        remaining -= quota
-        bound = mult * n
-        for _ in range(quota):
-            asg = {nm: random_lexfn(n, bound, rng) for nm in names}
-            w = attempt(asg)
-            if w:
-                return w
-    return None
+    return _search(eq, n, budget, seed, "FnQxZ", lexfn.eval_word,
+                   lambda asg: [(j, z) for j in _candidate_blocks(asg)
+                                for z in range(n)],
+                   family, len(family), 10_000, random_lexfn)

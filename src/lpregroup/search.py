@@ -1,13 +1,16 @@
 """Guided enumeration of the finite witness spaces behind the two
 decision procedures.
 
-Both searches assign values to the termination points of an intensional
-equation (the unit, the final subwords, and their decorated padding), in
-dependency order, and let the assignment induce everything else: the
-partial function of each variable collects the pairs (value(u),
-value(x u)), and each +/- decoration forces its point to sit at covering
-distance from its parent, designating that cover.  Conditions checked
-along the way:
+Both searches build weak orders one element at a time (_WeakOrder): a
+new element joins an existing class or opens a class in a gap between
+two, and ranking the classes at the end gives an onto map to a chain
+0..k-1.  The plain search builds a weak order of the termination
+points of an intensional equation (the unit, the final subwords, and
+their decorated padding), adding them in dependency order, and lets the
+order induce everything else: the partial function of each variable
+collects the pairs (value(u), value(x u)), and each +/- decoration
+forces its point into the class next to its parent's, designating that
+cover.  Conditions checked along the way:
 
   (i)   each induced partial function is functional and order-preserving;
   (ii)  decorated points sit exactly one step from their parents;
@@ -19,8 +22,9 @@ constraints between points that are always present in the point set (see
 _point_table), which prune long before the brackets themselves become
 defined; every completed assignment still gets a full bracket recheck.
 
-The plain search targets chains 0..q-1 for all q up to the point count,
-q ascending, candidate values ascending, so the stream is canonical.
+The plain search makes one pass per chain size q, q ascending, and each
+point tries its feasible places in ascending order, so the stream is
+canonical and capped runs meet the small chains first.
 
 The partition search targets block grids: values are (block, slot) pairs
 ordered lexicographically, covers must stay inside a block, and induced
@@ -28,13 +32,13 @@ functions must respect the block partition in both directions (equal
 blocks map to equal blocks, distinct to distinct).  Ranking the occupied
 cells of such a grid flattens it to a plain compatible surjection, and
 the grid is recovered by cutting the chain into consecutive blocks and
-re-spreading it over a shared slot scale, so the partition stream is the
-plain stream composed with these structurings.
+ordering the slots of all its elements as a second weak order, so the
+partition stream is the plain stream composed with these structurings.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -181,19 +185,35 @@ def _point_table(eq: IntensionalEquation):
         partners.setdefault(a, set()).add(b)
         partners.setdefault(b, set()).add(a)
 
+    # the point placed next is the eligible one (parent placed) with the
+    # least (rank, -placed partners, len, p); a heap holds each eligible
+    # point at its current key, and entries left behind when a partner's
+    # placement lowered the key are skipped once the point is placed
     rank = {"cov": 0, "app0": 1, "app": 2, "unit": 3}
-    placed = {()}
-    pts = [()]
-    remaining = set(pts0) - placed
-    while remaining:
-        best = min((p for p in remaining if p[1:] in placed),
-                   key=lambda p: (rank[op_kind(p)],
-                                  -sum(q in placed
-                                       for q in partners.get(p, ())),
-                                  len(p), p))
-        pts.append(best)
-        placed.add(best)
-        remaining.remove(best)
+    children: dict[Point, list[Point]] = {}
+    for p in pts0:
+        if p:
+            children.setdefault(p[1:], []).append(p)
+    placed_partners = dict.fromkeys(pts0, 0)
+    placed: set[Point] = set()
+    pts = []
+
+    def key(p: Point):
+        return rank[op_kind(p)], -placed_partners[p], len(p), p
+
+    heap = [key(())]
+    while heap:
+        p = heapq.heappop(heap)[-1]
+        if p in placed:
+            continue
+        pts.append(p)
+        placed.add(p)
+        for c in children.get(p, ()):
+            heapq.heappush(heap, key(c))
+        for r in partners.get(p, ()):
+            placed_partners[r] += 1
+            if r not in placed and r[1:] in placed:
+                heapq.heappush(heap, key(r))
 
     index = {p: i for i, p in enumerate(pts)}
     info = []
@@ -226,118 +246,165 @@ def fails_in(cand: "CompatibleSurjection | PartitionDiagram",
     return all(cand.phi[point_of_word(w)] < top for w in eq.joinands)
 
 
+# ----------------------------------------------------------- weak orders
+
+class _WeakOrder:
+    """A weak order grown one element at a time: the elements placed so
+    far, in placing order, with the rank of each one's class.
+
+    Places are doubled so they compare like ranks: place 2c+1 joins class
+    c and place 2r opens a new class in gap r, just below class r (gap k,
+    above the top class, when there are k classes).  `at` holds 2*rank+1
+    per placed element.  A designated cover shuts the gap between its two
+    classes for good, so no class ever opens there and the two stay
+    adjacent in every completion.  Ranking the classes at a leaf gives an
+    onto map to 0..k-1."""
+
+    def __init__(self):
+        self.at: list[int] = []
+        self.shut = [False]  # per gap 0..k
+        self._undo: list[tuple[int, int]] = []
+
+    @property
+    def classes(self) -> int:
+        return len(self.shut) - 1
+
+    def places(self, lo: int, hi: int, grow: bool = True,
+               join: bool = True) -> list[int]:
+        """Feasible places in [lo, hi], ascending: the joins when join
+        allows them, and the open gaps when grow allows a new class."""
+        shut = self.shut
+        return [p for p in range(max(lo, 0), min(hi, 2 * len(shut) - 2) + 1)
+                if (join if p & 1 else grow and not shut[p >> 1])]
+
+    def put(self, p: int, mate: Optional[int] = None):
+        """Place the next element at p.  With mate, a placed element
+        whose class is adjacent to the new one, shut the gap between the
+        two classes."""
+        at, shut = self.at, self.shut
+        if not p & 1:
+            shut.insert(p >> 1, False)
+            at[:] = [v + 2 if v > p else v for v in at]
+        at.append(p | 1)
+        g = -1
+        if mate is not None:
+            g = (min(at[mate], p | 1) + 1) >> 1
+            if shut[g]:
+                g = -1
+            else:
+                shut[g] = True
+        self._undo.append((p, g))
+
+    def take(self):
+        """Undo the last put."""
+        p, g = self._undo.pop()
+        at, shut = self.at, self.shut
+        if g >= 0:
+            shut[g] = False
+        at.pop()
+        if not p & 1:
+            del shut[p >> 1]
+            at[:] = [v - 2 if v > p else v for v in at]
+
+    def ranks(self) -> list[int]:
+        return [v >> 1 for v in self.at]
+
+
 # --------------------------------------------------- plain chain enumeration
 
 def _plain_assignments(table, require_failure: bool,
                        budget: Optional[NodeBudget] = None
                        ) -> Iterator[tuple[int, list[int], set, dict]]:
-    """Assignments of the points of a _point_table onto 0..q-1, for every
-    chain size q up to the point count, q ascending (the closures below
-    read q from the loop at the end)."""
+    """Assignments of the points of a _point_table onto chains 0..q-1,
+    each a weak order of the points built in table order.
+
+    Every point's place is bounded by the points already placed: its
+    sandwich partners, the unit above the joinands in failure mode, the
+    earlier plain applications of its variable (order preservation), and
+    for a cover mate the two places next to its parent on its side.
+    There is one pass per chain size q, q ascending, so capped runs meet
+    small chains first: a point opens a class only while there are fewer
+    than q, and joins one only while the points left can still open the
+    rest, so every leaf has exactly q classes.  Leaves read covers and
+    functions off the ranks and recheck every bracket equation.  Yields
+    (q, values, covers, fns)."""
     pts, info, joinands, bracket_edges, sandwiches = table
     npts = len(pts)
-    val: list[Optional[int]] = [None] * npts
-    unit = next(i for i, (kind, *_) in enumerate(info) if kind == "unit")
-    fns: dict[str, dict[int, int]] = {}
-    fn_count: dict[str, dict[tuple[int, int], int]] = {}
-    covers: dict[tuple[int, int], int] = {}
-    used: dict[int, int] = {}
-
-    def order_clash(name: str, a: int, b: int) -> bool:
-        g = fns.get(name, {})
-        if g.get(a, b) != b:
-            return True
-        return any((x < a and y > b) or (x > a and y < b)
-                   for x, y in g.items())
-
-    def bounds(i: int) -> tuple[int, int]:
-        """Feasible value interval for point i given what is placed: the
-        sandwich partners already assigned, and in failure mode the unit
-        above the joinands."""
-        lb, ub = 0, q - 1
+    # per point, the earlier points bounding its place from below and
+    # from above: place >= at[j] + s for (j, s) in below, place <= at[j]
+    # - s for (j, s) in above.  The unit is point 0, so in failure mode
+    # every other joinand gets the unit as a strict upper bound.
+    below: list[list] = [[] for _ in pts]
+    above: list[list] = [[] for _ in pts]
+    # per plain application, the earlier ones of its variable
+    earlier: list[list] = [[] for _ in pts]
+    apps: dict[str, list] = {}
+    for i, (kind, parent, extra, s) in enumerate(info):
         for a, b, strict in sandwiches.get(i, ()):
-            if b == i and val[a] is not None:
-                lb = max(lb, val[a] + strict)
-            elif a == i and val[b] is not None:
-                ub = min(ub, val[b] - strict)
-        if require_failure:
-            if i == unit:
-                for j in joinands:
-                    if val[j] is not None:
-                        lb = max(lb, val[j] + 1)
-            elif i in joinands and val[unit] is not None:
-                ub = min(ub, val[unit] - 1)
-        return lb, ub
-
-    def assign(i: int, v: int):
-        val[i] = v
-        used[v] = used.get(v, 0) + 1
-        kind, parent, extra, _ = info[i]
-        if kind == "cov":
-            a = min(v, val[parent])
-            covers[(a, a + 1)] = covers.get((a, a + 1), 0) + 1
+            if b == i and a < i:
+                below[i].append((a, strict))
+            elif a == i and b < i:
+                above[i].append((b, strict))
+        if require_failure and i in joinands and i > 0:
+            above[i].append((0, 1))
+        if kind == "cov":  # the two places next to the parent on side s
+            below[i].append((parent, min(s, 2 * s)))
+            above[i].append((parent, -max(s, 2 * s)))
         elif kind == "app" and extra[1] == 0:
-            pair = (val[parent], v)
-            cnt = fn_count.setdefault(extra[0], {})
-            cnt[pair] = cnt.get(pair, 0) + 1
-            fns.setdefault(extra[0], {})[pair[0]] = pair[1]
+            earlier[i] = list(apps.get(extra[0], ()))
+            apps.setdefault(extra[0], []).append((parent, i))
+    wo = _WeakOrder()
+    at = wo.at
 
-    def unassign(i: int):
-        v = val[i]
-        val[i] = None
-        used[v] -= 1
-        if not used[v]:
-            del used[v]
-        kind, parent, extra, _ = info[i]
-        if kind == "cov":
-            a = min(v, val[parent])
-            covers[(a, a + 1)] -= 1
-            if not covers[(a, a + 1)]:
-                del covers[(a, a + 1)]
-        elif kind == "app" and extra[1] == 0:
-            pair = (val[parent], v)
-            fn_count[extra[0]][pair] -= 1
-            if not fn_count[extra[0]][pair]:
-                del fn_count[extra[0]][pair]
-                del fns[extra[0]][pair[0]]
+    def places(i: int) -> list[int]:
+        k = wo.classes
+        lo, hi = 0, 2 * k
+        for j, s in below[i]:
+            if at[j] + s > lo:
+                lo = at[j] + s
+        for j, s in above[i]:
+            if at[j] - s < hi:
+                hi = at[j] - s
+        if earlier[i]:  # order preservation against the earlier pairs
+            a = at[info[i][1]]
+            for pj, j in earlier[i]:
+                if at[pj] <= a and at[j] > lo:
+                    lo = at[j]
+                if at[pj] >= a and at[j] < hi:
+                    hi = at[j]
+        # open a class only below q of them, and join one only while the
+        # points left can still open the rest
+        need = q - k
+        return wo.places(lo, hi, need > 0, need < npts - i)
 
-    def candidates(i: int):
-        lb, ub = bounds(i)
-        kind, parent, extra, s = info[i]
-        if kind == "cov":
-            v = val[parent] + s
-            if lb <= v <= ub:
-                yield v
-            return
-        if kind == "app" and extra[1] == 0:
-            for v in range(lb, ub + 1):
-                if not order_clash(extra[0], val[parent], v):
-                    yield v
-            return
-        yield from range(lb, ub + 1)
-
-    def complete() -> bool:
-        if len(used) != q:
-            return False
+    def leaf():
+        val = wo.ranks()
+        covers, fns = set(), {}
+        for i, (kind, parent, extra, _) in enumerate(info):
+            if kind == "cov":
+                c = min(val[i], val[parent])
+                covers.add((c, c + 1))
+            elif kind == "app" and extra[1] == 0:
+                fns.setdefault(extra[0], {})[val[parent]] = val[i]
         for pi, ci, name, m in bracket_edges:
-            got = iter_bracket(fns.get(name, {}), covers, m).get(val[pi])
-            if got != val[ci]:
-                return False
-        return True
+            if iter_bracket(fns.get(name, {}), covers, m).get(val[pi]) \
+                    != val[ci]:
+                return None
+        return q, val, covers, fns
 
     def dfs(i: int) -> Iterator:
         if i == npts:
-            if complete():
-                yield (q, list(val), set(covers),
-                       {k: dict(v) for k, v in fns.items()})
+            found = leaf()
+            if found:
+                yield found
             return
-        for v in candidates(i):
+        mate = info[i][1] if info[i][0] == "cov" else None
+        for p in places(i):
             if budget is not None:
                 budget.spend()
-            assign(i, v)
-            if q - len(used) <= npts - i - 1:
-                yield from dfs(i + 1)
-            unassign(i)
+            wo.put(p, mate)
+            yield from dfs(i + 1)
+            wo.take()
 
     for q in range(1, npts + 1):
         yield from dfs(0)
@@ -360,8 +427,6 @@ def enumerate_compatible_surjections(
             {name: PartialFn.from_mapping(g) for name, g in fns.items()})
 
 
-
-
 # -------------------------------------------------- block grid enumeration
 
 def _structurings(q: int, covers, fns,
@@ -371,11 +436,13 @@ def _structurings(q: int, covers, fns,
     into consecutive blocks and spread each block's elements, in order,
     over a shared slot scale 0..d-1.
 
-    Designated covers must stay inside one block on adjacent slots, every
-    slot must be used by some element, and each function must send
-    same-block arguments to same-block values and distinct-block to
-    distinct-block (its block-level shadow is a partial injection).
-    Yields (block, slot, b, d) with per-element block and slot lists."""
+    The slots form a weak order of the chain elements, built in chain
+    order: an element continues its predecessor's block at a higher slot
+    or starts the next block at any slot.  Designated covers stay inside
+    one block on adjacent slots, and each function must send same-block
+    arguments to same-block values and distinct-block to distinct-block
+    (its block-level shadow is a partial injection).  Yields (block,
+    slot, b, d) with per-element block and slot lists."""
     quads_at: dict[int, list] = {}
     for g in fns.values():
         pairs = sorted(g.items())
@@ -385,45 +452,35 @@ def _structurings(q: int, covers, fns,
                 quads_at.setdefault(key, []).append((x1, y1, x2, y2))
     cover_starts = {a for a, _ in covers}
     blk = [0] * q
-    slt = [0] * q
-    used: dict[int, int] = {}
+    wo = _WeakOrder()
+    at = wo.at
 
-    def place(i: int, b: int, s: int) -> bool:
-        blk[i], slt[i] = b, s
-        used[s] = used.get(s, 0) + 1
-        return all((blk[x1] == blk[x2]) == (blk[y1] == blk[y2])
-                   for x1, y1, x2, y2 in quads_at.get(i, ()))
-
-    def unplace(i: int):
-        s = slt[i]
-        used[s] -= 1
-        if not used[s]:
-            del used[s]
-
-    def dfs(i: int, d: int) -> Iterator:
+    def dfs(i: int) -> Iterator:
         if i == q:
-            if len(used) == d:
-                yield (list(blk), list(slt), blk[q - 1] + 1, d)
+            yield (list(blk), wo.ranks(), blk[q - 1] + 1, wo.classes)
             return
-        if i == 0:
-            options = ((0, s) for s in range(d))
+        top = 2 * wo.classes
+        if i == 0:  # the first element opens the first slot
+            options = [(0, 0, None)]
         elif i - 1 in cover_starts:
-            options = ((blk[i - 1], slt[i - 1] + 1),) \
-                if slt[i - 1] + 1 < d else ()
+            options = [(blk[i - 1], p, i - 1)
+                       for p in wo.places(at[i - 1] + 1, at[i - 1] + 2)]
         else:
-            options = itertools.chain(
-                ((blk[i - 1], s) for s in range(slt[i - 1] + 1, d)),
-                ((blk[i - 1] + 1, s) for s in range(d)))
-        for b, s in options:
+            options = [(blk[i - 1], p, None)
+                       for p in wo.places(at[i - 1] + 1, top)]
+            options += [(blk[i - 1] + 1, p, None)
+                        for p in wo.places(0, top)]
+        for b, p, mate in options:
             if budget is not None:
                 budget.spend()
-            ok = place(i, b, s)
-            if ok and d - len(used) <= q - i - 1:
-                yield from dfs(i + 1, d)
-            unplace(i)
+            blk[i] = b
+            wo.put(p, mate)
+            if all((blk[x1] == blk[x2]) == (blk[y1] == blk[y2])
+                   for x1, y1, x2, y2 in quads_at.get(i, ())):
+                yield from dfs(i + 1)
+            wo.take()
 
-    for d in range(1, q + 1):
-        yield from dfs(0, d)
+    yield from dfs(0)
 
 
 def enumerate_partition_diagrams(
@@ -451,7 +508,8 @@ def enumerate_partition_diagrams(
                    for i, p in enumerate(table[0])}
             grid_covers = set()
             for a, a1 in covers:
-                assert blk[a1] == blk[a] and slt[a1] == slt[a] + 1
+                if blk[a1] != blk[a] or slt[a1] != slt[a] + 1:
+                    raise AssertionError(f"cover {(a, a1)} split by the grid")
                 grid_covers.add((flat(a), flat(a) + 1))
             grid_fns = {
                 name: PartialFn.from_mapping(

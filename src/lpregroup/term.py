@@ -310,7 +310,8 @@ def _join_of_meets(t: Term) -> list[list[Word]]:
     if isinstance(t, Var):
         return [[((t.name, 0),)]]
     if isinstance(t, Inv):
-        assert isinstance(t.arg, Var), "inverses must be pushed first"
+        if not isinstance(t.arg, Var):
+            raise AssertionError("inverses must be pushed first")
         return [[((t.arg.name, t.m),)]]
     if isinstance(t, Join):
         arms: list[list[Word]] = []
@@ -465,6 +466,6 @@ def delta_epsilon(eq: IntensionalEquation) -> frozenset[Point]:
             if rest in fs:
                 points.update(_decorated_family(name, m, point_of_word(rest)))
     size = intensional_size(eq)
-    assert len(points) <= 2 ** size * size ** 4, \
-        f"point set larger than promised: {len(points)}"
+    if len(points) > 2 ** size * size ** 4:
+        raise AssertionError(f"point set larger than promised: {len(points)}")
     return frozenset(points)

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,6 +210,15 @@ def test_budget_exhaustion_reports_unknown():
     assert v.status == UNKNOWN
     assert v.exit_code == 2
     assert v.stats["nodes"] <= 501
+
+
+def test_capped_run_with_large_point_set_returns_quickly():
+    # x^(12) has 12,288 points at n=7; ordering them used to take a
+    # quadratic scan that ran for minutes before the budget could bite
+    t0 = time.perf_counter()
+    v = decide.decide_fnz("1 <= x^(12) x", 7, budget=1000)
+    assert time.perf_counter() - t0 < 10
+    assert v.status == UNKNOWN
 
 
 def test_capped_never_claims_valid_with_candidates_pending():

@@ -8,10 +8,14 @@ monotone growth of brackets under diagram extension (the soundness of
 incremental pruning rests on it).
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lpregroup import fnz
+from lpregroup import diagram, fnz
 from lpregroup.diagram import CChain, PartialFn, SpacingEmbedding, iter_bracket
 
 
@@ -89,6 +93,29 @@ def test_iter_bracket_directions():
 
 
 # --------------------------------------------------------- property tests
+
+_CLASHING_BRACKET = """
+import sys
+from lpregroup.diagram import iter_bracket
+try:
+    iter_bracket({0: 0, 1: 2, 2: 1, 3: 3}, {(0, 1), (2, 3)}, 1)
+except AssertionError:
+    print("raised", sys.flags.optimize)
+else:
+    print("returned", sys.flags.optimize)
+"""
+
+
+def test_bracket_clash_raises_under_optimize():
+    # g is not order-preserving, so the covers (0, 1) and (2, 3) both
+    # claim the l-bracket value at 2; python -O strips assert statements,
+    # and the clash must still stop the computation
+    src = os.path.dirname(os.path.dirname(diagram.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _CLASHING_BRACKET],
+                          capture_output=True, text=True, env=env)
+    assert proc.stdout.split() == ["raised", "1"], proc.stderr
+
 
 @settings(max_examples=300)
 @given(embedded(), st.integers(1, 3), st.integers(-3, 3))

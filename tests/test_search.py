@@ -2,10 +2,13 @@
 force over all onto assignments checked straight from the definitions."""
 
 import itertools
+from typing import Iterator, Optional
 
-from lpregroup import spacing, term
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from lpregroup import search, spacing, term
 from lpregroup.diagram import iter_bracket
-from lpregroup.search import (enumerate_compatible_surjections,
+from lpregroup.search import (NodeBudget, enumerate_compatible_surjections,
                               enumerate_partition_diagrams, fails_in)
 
 
@@ -264,3 +267,254 @@ def test_xl_xr_failing_diagram_periodic_at_2_not_1():
             chain, fns, 1, cap=spacing.nu(pd.slots, 1))
         assert e1 is None
     assert found2
+
+
+# ------------------------------------------------ value-based reference
+#
+# The enumerators as they were before they built weak orders: absolute
+# values 0..q-1 and slots 0..d-1, one DFS per chain size and slot count.
+# Kept verbatim as the reference for the weak-order streams.
+
+def _plain_assignments_by_value(table, require_failure: bool,
+                                budget: Optional[NodeBudget] = None
+                                ) -> Iterator[tuple[int, list[int], set,
+                                                    dict]]:
+    """Assignments of the points of a _point_table onto 0..q-1, for every
+    chain size q up to the point count, q ascending (the closures below
+    read q from the loop at the end)."""
+    pts, info, joinands, bracket_edges, sandwiches = table
+    npts = len(pts)
+    val: list[Optional[int]] = [None] * npts
+    unit = next(i for i, (kind, *_) in enumerate(info) if kind == "unit")
+    fns: dict[str, dict[int, int]] = {}
+    fn_count: dict[str, dict[tuple[int, int], int]] = {}
+    covers: dict[tuple[int, int], int] = {}
+    used: dict[int, int] = {}
+
+    def order_clash(name: str, a: int, b: int) -> bool:
+        g = fns.get(name, {})
+        if g.get(a, b) != b:
+            return True
+        return any((x < a and y > b) or (x > a and y < b)
+                   for x, y in g.items())
+
+    def bounds(i: int) -> tuple[int, int]:
+        """Feasible value interval for point i given what is placed: the
+        sandwich partners already assigned, and in failure mode the unit
+        above the joinands."""
+        lb, ub = 0, q - 1
+        for a, b, strict in sandwiches.get(i, ()):
+            if b == i and val[a] is not None:
+                lb = max(lb, val[a] + strict)
+            elif a == i and val[b] is not None:
+                ub = min(ub, val[b] - strict)
+        if require_failure:
+            if i == unit:
+                for j in joinands:
+                    if val[j] is not None:
+                        lb = max(lb, val[j] + 1)
+            elif i in joinands and val[unit] is not None:
+                ub = min(ub, val[unit] - 1)
+        return lb, ub
+
+    def assign(i: int, v: int):
+        val[i] = v
+        used[v] = used.get(v, 0) + 1
+        kind, parent, extra, _ = info[i]
+        if kind == "cov":
+            a = min(v, val[parent])
+            covers[(a, a + 1)] = covers.get((a, a + 1), 0) + 1
+        elif kind == "app" and extra[1] == 0:
+            pair = (val[parent], v)
+            cnt = fn_count.setdefault(extra[0], {})
+            cnt[pair] = cnt.get(pair, 0) + 1
+            fns.setdefault(extra[0], {})[pair[0]] = pair[1]
+
+    def unassign(i: int):
+        v = val[i]
+        val[i] = None
+        used[v] -= 1
+        if not used[v]:
+            del used[v]
+        kind, parent, extra, _ = info[i]
+        if kind == "cov":
+            a = min(v, val[parent])
+            covers[(a, a + 1)] -= 1
+            if not covers[(a, a + 1)]:
+                del covers[(a, a + 1)]
+        elif kind == "app" and extra[1] == 0:
+            pair = (val[parent], v)
+            fn_count[extra[0]][pair] -= 1
+            if not fn_count[extra[0]][pair]:
+                del fn_count[extra[0]][pair]
+                del fns[extra[0]][pair[0]]
+
+    def candidates(i: int):
+        lb, ub = bounds(i)
+        kind, parent, extra, s = info[i]
+        if kind == "cov":
+            v = val[parent] + s
+            if lb <= v <= ub:
+                yield v
+            return
+        if kind == "app" and extra[1] == 0:
+            for v in range(lb, ub + 1):
+                if not order_clash(extra[0], val[parent], v):
+                    yield v
+            return
+        yield from range(lb, ub + 1)
+
+    def complete() -> bool:
+        if len(used) != q:
+            return False
+        for pi, ci, name, m in bracket_edges:
+            got = iter_bracket(fns.get(name, {}), covers, m).get(val[pi])
+            if got != val[ci]:
+                return False
+        return True
+
+    def dfs(i: int) -> Iterator:
+        if i == npts:
+            if complete():
+                yield (q, list(val), set(covers),
+                       {k: dict(v) for k, v in fns.items()})
+            return
+        for v in candidates(i):
+            if budget is not None:
+                budget.spend()
+            assign(i, v)
+            if q - len(used) <= npts - i - 1:
+                yield from dfs(i + 1)
+            unassign(i)
+
+    for q in range(1, npts + 1):
+        yield from dfs(0)
+
+
+def _structurings_by_value(q: int, covers, fns,
+                           budget: Optional[NodeBudget] = None
+                           ) -> Iterator[tuple[list, list, int, int]]:
+    """All ways to restructure the chain 0..q-1 as a block grid: cut it
+    into consecutive blocks and spread each block's elements, in order,
+    over a shared slot scale 0..d-1.
+
+    Designated covers must stay inside one block on adjacent slots, every
+    slot must be used by some element, and each function must send
+    same-block arguments to same-block values and distinct-block to
+    distinct-block (its block-level shadow is a partial injection).
+    Yields (block, slot, b, d) with per-element block and slot lists."""
+    quads_at: dict[int, list] = {}
+    for g in fns.values():
+        pairs = sorted(g.items())
+        for j, (x1, y1) in enumerate(pairs):
+            for x2, y2 in pairs[j + 1:]:
+                key = max(x1, y1, x2, y2)
+                quads_at.setdefault(key, []).append((x1, y1, x2, y2))
+    cover_starts = {a for a, _ in covers}
+    blk = [0] * q
+    slt = [0] * q
+    used: dict[int, int] = {}
+
+    def place(i: int, b: int, s: int) -> bool:
+        blk[i], slt[i] = b, s
+        used[s] = used.get(s, 0) + 1
+        return all((blk[x1] == blk[x2]) == (blk[y1] == blk[y2])
+                   for x1, y1, x2, y2 in quads_at.get(i, ()))
+
+    def unplace(i: int):
+        s = slt[i]
+        used[s] -= 1
+        if not used[s]:
+            del used[s]
+
+    def dfs(i: int, d: int) -> Iterator:
+        if i == q:
+            if len(used) == d:
+                yield (list(blk), list(slt), blk[q - 1] + 1, d)
+            return
+        if i == 0:
+            options = ((0, s) for s in range(d))
+        elif i - 1 in cover_starts:
+            options = ((blk[i - 1], slt[i - 1] + 1),) \
+                if slt[i - 1] + 1 < d else ()
+        else:
+            options = itertools.chain(
+                ((blk[i - 1], s) for s in range(slt[i - 1] + 1, d)),
+                ((blk[i - 1] + 1, s) for s in range(d)))
+        for b, s in options:
+            if budget is not None:
+                budget.spend()
+            ok = place(i, b, s)
+            if ok and d - len(used) <= q - i - 1:
+                yield from dfs(i + 1, d)
+            unplace(i)
+
+    for d in range(1, q + 1):
+        yield from dfs(0, d)
+
+
+def _records(stream):
+    """q -> sorted (values, covers, fns) records, failing on repeats."""
+    out = {}
+    for q, values, covers, fns in stream:
+        out.setdefault(q, []).append(
+            (tuple(values), tuple(sorted(covers)),
+             tuple((name, tuple(sorted(g.items())))
+                   for name, g in sorted(fns.items()))))
+    for recs in out.values():
+        assert len(recs) == len(set(recs))
+        recs.sort()
+    return out
+
+
+def assert_streams_match_reference(eq, max_structured_q=6):
+    table = search._point_table(eq)
+    for require_failure in (False, True):
+        stream = list(search._plain_assignments(table, require_failure))
+        qs = [q for q, *_ in stream]
+        assert qs == sorted(qs)
+        assert _records(stream) == _records(
+            _plain_assignments_by_value(table, require_failure))
+    for q, _, covers, fns in stream:  # the failing candidates
+        if q > max_structured_q:
+            continue
+        got = sorted(map(repr, search._structurings(q, covers, fns)))
+        want = sorted(map(repr, _structurings_by_value(q, covers, fns)))
+        assert len(got) == len(set(got))
+        assert got == want
+
+
+_CORPUS = ["1 <= x", "1 <= x x", "1 <= x y", "1 <= x^l", "1 <= x^(-1) x",
+           "1 <= x x^l", "1 <= x^l x", "x^l^r = x", "x^r^l = x",
+           "x^(2) = x", "x^l = x^r", "1 <= x | x^l", "x & 1 <= x",
+           "x y = y x", "x y x^l y^l <= 1", "x^l x x^l x = x^l x",
+           "(x | y)^l = x^l & y^l"]
+
+
+def test_weak_order_streams_match_reference_on_corpus():
+    checked = 0
+    for text in _CORPUS:
+        for eq in conjuncts(text):
+            if len(term.delta_epsilon(eq)) <= 10:
+                assert_streams_match_reference(eq)
+                checked += 1
+    assert checked >= 15
+
+
+@st.composite
+def small_conjuncts(draw):
+    literal = st.tuples(st.sampled_from("xy"), st.integers(-1, 1))
+    words = draw(st.lists(st.lists(literal, min_size=1, max_size=3),
+                          min_size=1, max_size=2))
+    rhs = " | ".join(" ".join(f"{v}^({m})" for v, m in w) for w in words)
+    eqs = [eq for eq in conjuncts(f"1 <= {rhs}")
+           if len(term.delta_epsilon(eq)) <= 8]
+    assume(eqs)
+    return draw(st.sampled_from(eqs))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(small_conjuncts())
+def test_weak_order_streams_match_reference_on_draws(eq):
+    assert_streams_match_reference(eq, max_structured_q=5)
