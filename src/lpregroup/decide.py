@@ -24,6 +24,14 @@ Capped mode is the default.  It bounds both the number of search nodes
 spent enumerating candidates and the effort per embedding attempt, so it
 terminates quickly, finds the witnesses that exist at small scale, and
 never overclaims.
+
+Conjuncts are searched in order, and a conjunct that is a renaming of
+an earlier one (term.conjunct_key) is skipped.  Its variables are
+universally quantified, so it makes the same claim as that earlier one,
+whose search already ran without finding a witness: a witness would
+have ended the run.  Nothing found is ever renamed, so a fails verdict
+names the conjunct its witness was realized for, and verify_witness
+still accepts a witness for the skipped one.
 """
 
 from __future__ import annotations
@@ -267,7 +275,8 @@ def _decide(eq: Union[Equation, str], n: int, complete: bool,
         budget = None if complete else DEFAULT_NODE_BUDGET
     nb = NodeBudget(budget)
     stats = {"failing_candidates": 0, "embeddings_refuted": 0,
-             "attempts_capped": 0, "embed_s": 0.0}
+             "attempts_capped": 0, "renamed_conjuncts": 0, "embed_s": 0.0}
+    decided = set()  # conjunct_key of every conjunct searched so far
     t0 = time.perf_counter()
 
     def finish(status, witness=None):
@@ -278,6 +287,11 @@ def _decide(eq: Union[Equation, str], n: int, complete: bool,
 
     try:
         for ci, conj in enumerate(conjuncts):
+            key = term.conjunct_key(conj)
+            if key in decided:  # renames an earlier one, which had no witness
+                stats["renamed_conjuncts"] += 1
+                continue
+            decided.add(key)
             for cand in enumerate_failing(conj, nb):
                 stats["failing_candidates"] += 1
                 chain = chain_of(cand)

@@ -132,7 +132,8 @@ class PartitionDiagram:
 
 # ----------------------------------------------------------- point plumbing
 
-def _point_table(eq: IntensionalEquation):
+def _point_table(eq: IntensionalEquation,
+                 budget: Optional[NodeBudget] = None):
     """Points in dependency order plus the structural edges to check.
 
     Each inverse application P = x^(m) U also yields two order constraints
@@ -154,8 +155,15 @@ def _point_table(eq: IntensionalEquation):
     when made: after a point is placed, its cover mates (forced values)
     and plain applications (pinned by order preservation) come first, and
     otherwise the free inverse applications with the most already-placed
-    sandwich partners.  Parents always precede children."""
-    pts0 = sorted(delta_epsilon(eq), key=lambda p: (len(p), p))
+    sandwich partners.  Parents always precede children.
+
+    The table and the enumerator's per-point bounds grow with the point
+    set, so each point costs one node of budget, spent before any of
+    them is built."""
+    points = delta_epsilon(eq)
+    if budget is not None:
+        budget.spend(len(points))
+    pts0 = sorted(points, key=lambda p: (len(p), p))
 
     def op_kind(p: Point) -> str:
         if not p:
@@ -417,7 +425,7 @@ def enumerate_compatible_surjections(
     """All compatible surjections onto 0..q-1, q ascending.  With
     require_failure, prune to assignments that put every joinand strictly
     below the unit."""
-    table = _point_table(eq)
+    table = _point_table(eq, budget)
     for q, values, covers, fns in _plain_assignments(table, require_failure,
                                                      budget):
         phi = {p: values[i] for i, p in enumerate(table[0])}
@@ -498,7 +506,7 @@ def enumerate_partition_diagrams(
     through every structuring of its chain.  Blocks and slots are named
     by their final ranks; the flat chain is the full grid, covers
     sitting inside single blocks."""
-    table = _point_table(eq)
+    table = _point_table(eq, budget)
     for q, values, covers, fns in _plain_assignments(table, require_failure,
                                                      budget):
         for blk, slt, b, d in _structurings(q, covers, fns, budget):

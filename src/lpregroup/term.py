@@ -31,6 +31,7 @@ the rightmost factor applies first to a point.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -381,6 +382,40 @@ def conjuncts(eq: Union[Equation, str]) -> list[IntensionalEquation]:
 def variables_of(conjs: Iterable[IntensionalEquation]) -> list[str]:
     """Sorted names of the variables occurring in the given conjuncts."""
     return sorted({name for c in conjs for w in c.joinands for name, _ in w})
+
+
+# conjunct_key tries every renaming within ties of its variable order up
+# to this many, and past it keys a conjunct by its exact joinands
+MAX_KEY_RENAMINGS = 720
+
+
+def conjunct_key(eq: IntensionalEquation) -> tuple:
+    """A key that two conjuncts share exactly when one is the other with
+    its variables renamed (bijectively), except that a conjunct whose
+    variables tie in more than MAX_KEY_RENAMINGS ways is keyed by its own
+    joinands, which only an equal conjunct shares.
+
+    Variables are ordered by the sorted exponents they occur with, which
+    no renaming changes; every order within ties renames them to 0..k-1,
+    and the key is the least sorted tuple of renamed joinands."""
+    exps: dict[str, list[int]] = {}
+    for w in eq.joinands:
+        for name, m in w:
+            exps.setdefault(name, []).append(m)
+    sig = {name: tuple(sorted(ms)) for name, ms in exps.items()}
+    ties = [list(g) for _, g in itertools.groupby(
+        sorted(sig, key=sig.__getitem__), key=sig.__getitem__)]
+    if math.prod(math.factorial(len(g)) for g in ties) > MAX_KEY_RENAMINGS:
+        return eq.joinands  # string names: never equal to a renamed key
+
+    def renamed(order) -> tuple:
+        rename = {name: i for i, name in enumerate(order)}
+        return tuple(sorted(tuple((rename[name], m) for name, m in w)
+                            for w in eq.joinands))
+
+    return min(renamed(itertools.chain.from_iterable(perms))
+               for perms in itertools.product(
+                   *map(itertools.permutations, ties)))
 
 
 def intensional_size(eq: IntensionalEquation) -> int:

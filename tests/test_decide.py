@@ -6,6 +6,7 @@ acceptance suite; here we stick to equations that decide in well under a
 second so the whole file stays quick.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -19,8 +20,10 @@ from lpregroup import decide, fnz, lexfn, oracle, term
 from lpregroup.decide import (FAILS, UNKNOWN, VALID, Verdict, Witness,
                               verify_witness, witness_from_json)
 
+from test_term import renaming
 
-def assert_stats_contract(v: Verdict):
+
+def assert_stats_contract(v: Verdict, eq: str):
     # every candidate drawn gets exactly one embedding attempt, and the
     # search stops at the first embedding found
     s = v.stats
@@ -29,6 +32,8 @@ def assert_stats_contract(v: Verdict):
                                        + (v.status == FAILS))
     # the embedding attempts' time is part of the total
     assert 0 <= s["embed_s"] <= s["time_s"]
+    # a skipped conjunct renames an earlier one, so never the first
+    assert 0 <= s["renamed_conjuncts"] < max(len(term.conjuncts(eq)), 1)
 
 
 # ------------------------------------------------------------ valid corpus
@@ -83,7 +88,7 @@ def test_one_below_x_fails_lpn(n):
     assert v.status == FAILS
     assert v.witness.space == "FnQxZ"
     assert verify_witness("1 <= x", v.witness)
-    assert_stats_contract(v)
+    assert_stats_contract(v, "1 <= x")
 
 
 def test_left_inverse_strict_at_period_two():
@@ -108,7 +113,7 @@ def test_commutativity_separation_at_period_one():
     assert v.status == FAILS
     assert verify_witness("x y = y x", v.witness)
     assert set(v.witness.assignment) == {"x", "y"}
-    assert_stats_contract(v)
+    assert_stats_contract(v, "x y = y x")
     u = decide.decide_fnz("x y = y x", 1)
     assert u.status != FAILS
 
@@ -221,6 +226,27 @@ def test_capped_run_with_large_point_set_returns_quickly():
     assert v.status == UNKNOWN
 
 
+_TABLE_RSS = """
+import resource
+from lpregroup import decide
+v = decide.decide_fnz("1 <= x^(14) x", 8, budget=1000)
+print(v.status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_capped_run_charges_the_point_table_first():
+    # x^(14) has 49,152 points at n=8; their table and bound lists took
+    # over a gigabyte, so the budget must run out before they are built
+    src = os.path.dirname(os.path.dirname(decide.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _TABLE_RSS],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    status, rss_kb = proc.stdout.split()
+    assert status == UNKNOWN, proc.stderr
+    assert int(rss_kb) < 400 * 1024
+
+
 def test_capped_never_claims_valid_with_candidates_pending():
     # capped mode refutes these candidates only up to a practical height,
     # which is not a proof
@@ -232,6 +258,67 @@ def test_monotone_valid_in_variety_implies_valid_on_integers():
     for eq, n in [("1 <= x x^l", 2), ("x^l^r = x", 1)]:
         if decide.decide_lpn(eq, n, complete=True).status == VALID:
             assert decide.decide_fnz(eq, n, complete=True).status == VALID
+
+
+# ------------------------------------------------------ renamed conjuncts
+
+def test_mirror_conjunct_decided_once():
+    # the two conjuncts of commutativity swap under x <-> y; each alone
+    # has 18,072 failing candidates, all refuted at n=1
+    v = decide.decide_fnz("x y = y x", 1, complete=True)
+    assert v.status == VALID
+    assert v.stats["failing_candidates"] == 18_072
+    assert v.stats["renamed_conjuncts"] == 1
+    assert_stats_contract(v, "x y = y x")
+
+
+def renamed_pairs(eq: str) -> list:
+    """(representative, conjunct) for every conjunct of eq that renames
+    an earlier one, the representative being the first of its key."""
+    first, out = {}, []
+    for c in term.conjuncts(eq):
+        rep = first.setdefault(term.conjunct_key(c), c)
+        if rep is not c:
+            out.append((rep, c))
+    return out
+
+
+def assert_skips_sound(proc, eq: str, n: int) -> int:
+    """Decide every skipped conjunct of eq alone from its text, and its
+    representative alone, both capped at 20,000 nodes.  Verdicts must
+    agree wherever both are reached: the enumeration order follows the
+    variable names, so one renaming may run out of budget where the
+    other finishes.  A witness for the representative, renamed, must be
+    one for the skipped conjunct.  Returns the number of skips."""
+    pairs = renamed_pairs(eq)
+    for rep, c in pairs:
+        assert term.conjuncts(str(c)) == [c]
+        v, u = (proc(str(x), n, budget=20_000) for x in (rep, c))
+        if UNKNOWN not in (v.status, u.status):
+            assert v.status == u.status, (eq, str(rep), str(c))
+        if v.status == FAILS:
+            to = renaming(rep, c)
+            assert to is not None
+            w = dataclasses.replace(v.witness, assignment={
+                to[name]: f for name, f in v.witness.assignment.items()})
+            assert verify_witness(str(c), w)
+    return len(pairs)
+
+
+@pytest.mark.parametrize("theory,eq,n", [
+    ("fnz", "x y = y x", 1),
+    ("fnz", "x y = y x", 2),
+    ("lpn", "x y = y x", 1),
+    ("fnz", "(x | y)^l = x^l & y^l", 2),
+    ("lpn", "(x | y)^l = x^l & y^l", 1),
+    ("lpn", "x | y = y | x", 1),
+    ("fnz", "x y z = z y x", 1),
+    ("lpn", "x y z = z y x", 1),
+    ("lpn", "(x & y)^r = x^r | y^r", 2),
+])
+def test_skipped_conjuncts_decide_like_their_representatives(theory, eq, n):
+    proc = decide.decide_fnz if theory == "fnz" else decide.decide_lpn
+    assert assert_skips_sound(proc, eq, n) >= 1
 
 
 # ---------------------------------------------------------- serialization
@@ -300,9 +387,23 @@ def test_decider_agrees_with_oracle(eq, theory, n):
         proc, search = decide.decide_lpn, oracle.search_counterexample_lex
     v = proc(eq, n, budget=20_000)
     w = search(eq, n, budget=30, seed=0)
-    assert_stats_contract(v)
+    assert_stats_contract(v, eq)
     if v.status == FAILS:
         assert verify_witness(eq, v.witness)
     if w is not None:
         assert verify_witness(eq, w)
         assert v.status != VALID, (eq, theory, n, w.to_json())
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(2, 5).flatmap(terms), st.sampled_from(("fnz", "lpn")),
+       st.sampled_from((1, 2)))
+def test_skips_sound_on_mirrored_equations(t, theory, n):
+    # t = t' with x and y swapped in t': its two halves rename each other
+    eq = f"{t} = {t.translate(str.maketrans('xy', 'yx'))}"
+    proc = decide.decide_fnz if theory == "fnz" else decide.decide_lpn
+    v = proc(eq, n, budget=20_000)
+    assert_stats_contract(v, eq)
+    if v.status == FAILS:
+        assert verify_witness(eq, v.witness)
+    assert_skips_sound(proc, eq, n)

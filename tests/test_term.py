@@ -7,6 +7,10 @@ sides directly is a complete check up to the sampled assignments and is
 where any distribution or inverse-pushing bug would surface.
 """
 
+import itertools
+import math
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -170,6 +174,79 @@ def test_intensional_form_is_equivalent(lhs, rhs, rel, data):
     direct = equation_holds(eq, asg, n)
     viaform = all(conjunct_holds(c, asg, n) for c in to_intensional(eq))
     assert direct == viaform
+
+
+# ------------------------------------------------------- renaming key
+
+_NAMES = ("x", "y", "z")
+
+
+@st.composite
+def conjuncts_xyz(draw, max_m=2, max_joinands=3, max_len=3):
+    """A conjunct over x, y and z with short words."""
+    literal = st.tuples(st.sampled_from(_NAMES), st.integers(-max_m, max_m))
+    ws = draw(st.lists(st.lists(literal, min_size=1, max_size=max_len)
+                       .map(tuple), min_size=1, max_size=max_joinands))
+    return IntensionalEquation(tuple(sorted(set(ws))))
+
+
+def rename(c, to: dict):
+    return IntensionalEquation(tuple(sorted(
+        {tuple((to[name], m) for name, m in w) for w in c.joinands})))
+
+
+def renaming(a, b):
+    """A bijection of variable names taking conjunct a to conjunct b, by
+    brute force, or None."""
+    src, dst = term.variables_of([a]), term.variables_of([b])
+    if len(src) == len(dst):
+        for perm in itertools.permutations(dst):
+            to = dict(zip(src, perm))
+            if rename(a, to) == b:
+                return to
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(conjuncts_xyz(), st.permutations(_NAMES))
+def test_conjunct_key_ignores_renaming(c, perm):
+    image = rename(c, dict(zip(_NAMES, perm)))
+    assert term.conjunct_key(image) == term.conjunct_key(c)
+
+
+@settings(max_examples=500, deadline=None)
+@given(conjuncts_xyz(max_m=1, max_joinands=2, max_len=2),
+       conjuncts_xyz(max_m=1, max_joinands=2, max_len=2))
+def test_equal_conjunct_keys_are_renamings(a, b):
+    # small alphabets, so equal keys come up often
+    same = term.conjunct_key(a) == term.conjunct_key(b)
+    assert same == (renaming(a, b) is not None)
+
+
+def test_conjunct_key_pairs_the_mirror_conjuncts():
+    c1, c2 = to_intensional(parse("x y = y x"))
+    assert c1 != c2 and term.conjunct_key(c1) == term.conjunct_key(c2)
+    keys = [term.conjunct_key(c)
+            for c in to_intensional(parse("(x | y)^l = x^l & y^l"))]
+    assert keys[3] == keys[0] and len(set(keys)) == 3
+    # x and y occur with exponents 0 and 1 in both, but no renaming maps
+    # one conjunct onto the other
+    [a] = to_intensional(parse("1 <= x y | x^l y^l"))
+    [b] = to_intensional(parse("1 <= x y^l | x^l y"))
+    assert term.conjunct_key(a) != term.conjunct_key(b)
+
+
+def test_conjunct_key_falls_back_past_the_renaming_bound():
+    # nine variables, each twice with exponent 0: they tie in 9! orders
+    names = [f"x{i}" for i in range(9)]
+    text = "1 <= " + " | ".join(f"{a} {b}" for a, b in
+                                zip(names, names[1:] + names[:1]))
+    t0 = time.perf_counter()
+    [c] = to_intensional(parse(text))
+    key = term.conjunct_key(c)
+    assert time.perf_counter() - t0 < 0.1
+    assert math.factorial(9) > term.MAX_KEY_RENAMINGS
+    assert key == c.joinands
 
 
 # ------------------------------------------------------- final subwords
