@@ -9,13 +9,16 @@ invariant
 
 which the constructor checks.  Under composition these maps form a monoid;
 each one is residuated, and both residuals stay in the family, so the whole
-thing is a lattice-ordered monoid with pointwise meet and join.
+thing is a lattice-ordered monoid with pointwise meet and join.  Every
+residual, iterated or not, comes from one closed form at a point, inv_at;
+iter_inv, linv and rinv tabulate it over a period.
 
 Composition is written in application order: ``compose(f, g)`` is f after g.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -93,59 +96,42 @@ def join(f: PeriodicFn, g: PeriodicFn) -> PeriodicFn:
     return PeriodicFn(f.n, tuple(max(a, b) for a, b in zip(f.vals, g.vals)))
 
 
-def _offset_range(f: PeriodicFn) -> tuple[int, int]:
-    offsets = [f.vals[r] - r for r in range(f.n)]
-    return min(offsets), max(offsets)
+def inv_at(f: PeriodicFn, m: int, x: int) -> int:
+    """f^(m)(x), the m-fold iterated inverse at one point, in O(log n):
+    f^(0) = f, f^(m+1) = linv(f^(m)), f^(m-1) = rinv(f^(m)).
+
+    With k, odd = divmod(m, 2), f^(2k)(x) = f(x - k) + k and
+    f^(2k+1)(x) = linv(f)(x - k) + k; floor division makes m = -1 the
+    linv of m = -2, so rinv needs no code of its own.  linv(f)(a) is
+    q*n + (first r with vals[r] >= a - q*n), q the least period whose
+    last value reaches a.  In particular f^(2n) = f^(0): these maps are
+    n-periodic elements.
+    """
+    k, odd = divmod(m, 2)
+    a = x - k
+    if not odd:
+        return eval(f, a) + k
+    q = -((f.vals[-1] - a) // f.n)
+    b = q * f.n + bisect_left(f.vals, a - q * f.n)
+    if not eval(f, b - 1) < a <= eval(f, b):
+        raise AssertionError(f"linv({a}) = {b} is not min{{b : f(b) >= a}}")
+    return b + k
+
+
+def iter_inv(f: PeriodicFn, m: int) -> PeriodicFn:
+    """m-fold iterated inverse f^(m), tabulated from inv_at."""
+    return PeriodicFn(f.n, tuple(inv_at(f, m, r) for r in range(f.n)))
 
 
 def linv(f: PeriodicFn) -> PeriodicFn:
-    """Left residual inverse: linv(f)(a) = min{b : a <= f(b)}.
-
-    The minimum exists because f is unbounded above.  Since f(b) - b is
-    bounded by the offsets of one period, it suffices to scan b in a window
-    of width ~2n around a - offset.
-    """
-    lo_off, hi_off = _offset_range(f)
-    out = []
-    for a in range(f.n):
-        b = a - hi_off - f.n
-        while eval(f, b) < a:
-            b += 1
-        if b > a - lo_off + f.n:
-            raise AssertionError(f"linv({a}) = {b} outside its window")
-        out.append(b)
-    return PeriodicFn(f.n, tuple(out))
+    """Left residual inverse: linv(f)(a) = min{b : a <= f(b)}.  The
+    minimum exists because f is unbounded above."""
+    return iter_inv(f, 1)
 
 
 def rinv(f: PeriodicFn) -> PeriodicFn:
     """Right residual inverse: rinv(f)(b) = max{a : f(a) <= b}."""
-    lo_off, hi_off = _offset_range(f)
-    out = []
-    for b in range(f.n):
-        a = b - lo_off + f.n
-        while eval(f, a) > b:
-            a -= 1
-        if a < b - hi_off - f.n:
-            raise AssertionError(f"rinv({b}) = {a} outside its window")
-        out.append(a)
-    return PeriodicFn(f.n, tuple(out))
-
-
-def iter_inv(f: PeriodicFn, m: int) -> PeriodicFn:
-    """m-fold iterated inverse f^(m): f^(0) = f, f^(m+1) = linv(f^(m)),
-    f^(m-1) = rinv(f^(m)).
-
-    Uses the closed form f^(2k)(x) = f(x - k) + k for the even part, so at
-    most one residual is computed: linv of the even part below an odd m,
-    rinv of the one above a negative odd m.  In particular f^(2n) = f^(0):
-    these maps are n-periodic elements.
-    """
-    if m < 0 and m % 2:
-        return rinv(iter_inv(f, m + 1))
-    k, rem = divmod(m, 2)
-    even = f if k == 0 else PeriodicFn(
-        f.n, tuple(eval(f, r - k) + k for r in range(f.n)))
-    return linv(even) if rem else even
+    return iter_inv(f, -1)
 
 
 def decompose(f: PeriodicFn) -> tuple[int, PeriodicFn]:
@@ -165,7 +151,7 @@ def eval_word(word: Iterable[tuple[str, int]],
     first, sending each variable through its assigned function's m-th
     iterated inverse."""
     for name, m in reversed(tuple(word)):
-        x = eval(iter_inv(assignment[name], m), x)
+        x = inv_at(assignment[name], m, x)
     return x
 
 

@@ -112,12 +112,15 @@ class PLBijection:
                   for p in data["pieces"]]
         if len(pieces) != len(xs) + 1:
             raise ValueError("need one more piece than breakpoints")
+        if pieces[0][0] != 1 or pieces[-1][0] != 1:
+            raise ValueError("both tails must have slope 1")
         anchors = []
-        for i, x in enumerate(xs):
-            # pieces agree at breakpoints; pieces[i] ends at breakpoint i
-            slope, intercept = pieces[i]
-            anchors.append((x, slope * x + intercept))
-        return cls(tuple(anchors))
+        for x, (s1, b1), (s2, b2) in zip(xs, pieces, pieces[1:]):
+            if s1 * x + b1 != s2 * x + b2:
+                raise ValueError(f"pieces do not meet at breakpoint {x}")
+            anchors.append((x, s1 * x + b1))
+        # no breakpoints: the translation by the one piece's intercept
+        return cls(tuple(anchors) or ((Fraction(0), pieces[0][1]),))
 
 
 def _normalize(pts):
@@ -216,13 +219,26 @@ def rinv(f: LexFn) -> LexFn:
     return iter_inv(f, -1)
 
 
+def inv_at(f: LexFn, m: int, p: tuple[Rational, int]) -> Point:
+    """f^(m)(p) without building f^(m) (see iter_inv): an even m gives
+    (tilde(j), comp_j^(m)(r)), an odd m gives (i, comp_i^(m)(r)) with
+    i = tilde^-1(j).  A fiber without a component keeps r, since every
+    iterated inverse of the identity is the identity."""
+    j, r = p
+    odd = m % 2
+    if odd:
+        j = f.tilde.inverse()(j)
+    c = dict(f.components).get(j)
+    return (j if odd else f.tilde(j), r if c is None else fnz.inv_at(c, m, r))
+
+
 def eval_word(word: Iterable[tuple[str, int]],
               assignment: Mapping[str, LexFn], p: Point) -> Point:
     """Evaluate a product of literals (var, m) at a point, rightmost factor
     first, sending each variable through its assigned function's m-th
     iterated inverse."""
     for name, m in reversed(tuple(word)):
-        p = eval(iter_inv(assignment[name], m), p)
+        p = inv_at(assignment[name], m, p)
     return p
 
 

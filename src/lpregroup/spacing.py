@@ -223,18 +223,20 @@ def find_witness_embedding(chain: CChain,
     # constraints: (Y, -X) with Y = P(y1) - P(y2) and X = P(x1) - P(x2),
     # demanding ceil(Y/n) <= ceil(X/n).  Each also implies the cancelled
     # row Y - X <= n - 1 (see the module docstring).  The height cap is
-    # the first row
+    # the first row.  Two functions may share pairs (two blocks of an lpn
+    # diagram with equal local functions), so each ordered pair of pairs
+    # is built once
     constraints, rows = [], [([(k, 1) for k in range(ngaps)], cap)]
-    for g in fns:
-        for (x1, y1), (x2, y2) in itertools.permutations(g.pairs, 2):
-            y, negx = _segment(y1, y2), _segment(x2, x1)
-            constraints.append((y, negx))
-            diff = dict(y)
-            for k, c in negx:
-                diff[k] = diff.get(k, 0) + c
-            row = [(k, c) for k, c in diff.items() if c]
-            if row:
-                rows.append((row, n - 1))
+    for (x1, y1), (x2, y2) in dict.fromkeys(
+            pp for g in fns for pp in itertools.permutations(g.pairs, 2)):
+        y, negx = _segment(y1, y2), _segment(x2, x1)
+        constraints.append((y, negx))
+        diff = dict(y)
+        for k, c in negx:
+            diff[k] = diff.get(k, 0) + c
+        row = [(k, c) for k, c in diff.items() if c]
+        if row:
+            rows.append((row, n - 1))
     for row, rhs in closure:
         rows.append((row, rhs))
         rows.append(([(k, -c) for k, c in row], -rhs))

@@ -182,8 +182,16 @@ def test_internal_error_exits_four(capsys, monkeypatch):
     '{"space": "FnZ", "n": 1, "assignment": {"x": {"n": 2, "vals":'
     ' [-2, -2]}, "y": {"n": 2, "vals": [-2, 0]}}, "point": 1,'
     ' "conjunct": 0}',
+    '{"space": "FnQxZ", "n": 1, "assignment": {"y": {"n": 1, "tilde":'
+    ' {"breakpoints": ["0"], "pieces": [{"slope": "1", "intercept": "-1"},'
+    ' {"slope": "5", "intercept": "-1"}]}, "components": []}},'
+    ' "point": {"q": "1", "z": 1}}',
+    '{"space": "FnQxZ", "n": 1, "assignment": {"y": {"n": 1, "tilde":'
+    ' {"breakpoints": ["0"], "pieces": [{"slope": "1", "intercept": "-1"},'
+    ' {"slope": "1", "intercept": "3"}]}, "components": []}},'
+    ' "point": {"q": "1", "z": 1}}',
 ], ids=["missing-fields", "list", "bad-function", "null-point",
-        "unknown-space", "wrong-period"])
+        "unknown-space", "wrong-period", "bent-tail", "broken-piece"])
 def test_malformed_witness_file_exits_three(capsys, tmp_path, body):
     path = tmp_path / "junk.json"
     path.write_text(body)

@@ -247,6 +247,30 @@ def test_capped_run_charges_the_point_table_first():
     assert int(rss_kb) < 400 * 1024
 
 
+_DLP_REALIZE = """
+import json
+from lpregroup import decide
+v = decide.decide_dlp("x y = y x", budget=200_000)
+print(json.dumps(v.to_json()))
+"""
+
+
+def test_capped_dlp_realizes_at_the_reduced_period():
+    # s = 6, so N = 2^6 * 6^4 = 82,944; the candidate takes 79 nodes, and
+    # realization used to rebuild a whole period per literal, O(N^2) each
+    src = os.path.dirname(os.path.dirname(decide.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _DLP_REALIZE],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["status"] == FAILS
+    w = witness_from_json(data["witness"])
+    assert data["n"] == w.n == 82_944
+    assert verify_witness("x y = y x", w)
+
+
 def test_capped_never_claims_valid_with_candidates_pending():
     # capped mode refutes these candidates only up to a practical height,
     # which is not a proof

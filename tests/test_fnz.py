@@ -134,6 +134,25 @@ def test_linv_rinv_match_oracle(f):
         assert fnz.eval(ri, x) == oracle_rinv_at(f, x)
 
 
+def _residual_chain_at(f, m, x, span):
+    """f^(m)(x) through the materialized chain of residuals, each step
+    tabulated by the brute-force scans and the last one run at x."""
+    if m == 0:
+        return fnz.eval(f, x)
+    step = oracle_linv_at if m > 0 else oracle_rinv_at
+    g = f
+    for _ in range(abs(m) - 1):
+        g = PeriodicFn(f.n, tuple(step(g, a, span) for a in range(f.n)))
+    return step(g, x, span)
+
+
+@settings(max_examples=150, deadline=None)
+@given(periodic_fns(max_n=50), st.integers(-6, 6), st.integers(-200, 200))
+def test_inv_at_matches_residual_chain(f, m, x):
+    # every offset f^(m)(x) - x is at most |v0| + n + |m| in size
+    assert fnz.inv_at(f, m, x) == _residual_chain_at(f, m, x, 3 * f.n + 32)
+
+
 @given(periodic_fns())
 def test_residual_adjunctions(f):
     li, ri = fnz.linv(f), fnz.rinv(f)

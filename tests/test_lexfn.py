@@ -172,6 +172,20 @@ def test_iter_inv_matches_residual_chain(f, m):
     assert lexfn.rinv(f) == _residual(f, False)
 
 
+@settings(max_examples=150, deadline=None)
+@given(lex_fns(), st.integers(-6, 6), fractions, st.integers(-8, 8))
+def test_inv_at_matches_iter_inv(f, m, q, r):
+    # support indices, their images and preimages under the global part,
+    # a drawn rational and one past the support
+    inv = f.tilde.inverse()
+    js = {q, max(f.support, default=Fraction(0)) + Fraction(1, 7)}
+    for j in f.support:
+        js |= {j, f.tilde(j), inv(j)}
+    fm = lexfn.iter_inv(f, m)
+    for j in js:
+        assert lexfn.inv_at(f, m, (j, r)) == lexfn.eval(fm, (j, r))
+
+
 # ----------------------------------------------------------------- order
 
 @settings(max_examples=150, deadline=None)
