@@ -108,14 +108,15 @@ def _point_to_json(space: str, p: FnPoint):
 
 def _point_from_json(space: str, data) -> FnPoint:
     if space == "FnZ":
-        return int(data)
-    return (Fraction(data["q"]), int(data["z"]))
+        return lexfn.int_from_json(data)
+    return (Fraction(data["q"]), lexfn.int_from_json(data["z"]))
 
 
 def witness_from_json(data: dict) -> Witness:
     """Load a witness from its JSON form.  Raises ValueError when data is
     not shaped like a witness (a missing field, an unknown space, a value
-    of the wrong type)."""
+    of the wrong type, a number that is not an integer where one belongs,
+    a zero denominator)."""
     try:
         space = data["space"]
         if space not in ("FnZ", "FnQxZ"):
@@ -123,15 +124,15 @@ def witness_from_json(data: dict) -> Witness:
         fn_load = lexfn.fn_from_json if space == "FnZ" else lexfn.from_json
         return Witness(
             space=space,
-            n=int(data["n"]),
+            n=lexfn.int_from_json(data["n"]),
             assignment={name: fn_load(f)
                         for name, f in data["assignment"].items()},
             point=_point_from_json(space, data["point"]),
-            conjunct=int(data.get("conjunct", 0)),
+            conjunct=lexfn.int_from_json(data.get("conjunct", 0)),
             checked=tuple((c["word"], _point_from_json(space, c["value"]))
                           for c in data.get("checked", ())),
         )
-    except (KeyError, TypeError, AttributeError) as e:
+    except (KeyError, TypeError, AttributeError, ZeroDivisionError) as e:
         raise ValueError(f"malformed witness: {e!r}") from e
 
 
@@ -194,7 +195,7 @@ def realize_fnz_witness(phi: CompatibleSurjection, e: SpacingEmbedding,
     fns = {}
     for name in names:
         pairs = {e(x): e(y) for x, y in phi.fn(name).pairs}
-        fns[name] = fnz.extend_partial(pairs, n, permissive=True)
+        fns[name] = fnz.extend_partial(pairs, n)
     p = e(phi.value(()))
     checked = _check_realized(eq, fns, p, fnz.eval_word,
                               lambda pt: e(phi.value(pt)))
@@ -223,8 +224,7 @@ def realize_lex_witness(pd: PartitionDiagram, e: SpacingEmbedding,
         comps = []
         for j in sorted(gt):
             pairs = {e(s): e(t) for s, t in pd.gbar(name, j).pairs}
-            comps.append((Fraction(j),
-                          fnz.extend_partial(pairs, n, permissive=True)))
+            comps.append((Fraction(j), fnz.extend_partial(pairs, n)))
         fns[name] = LexFn(n, tilde, tuple(comps))
     block, slot = pd.point
 

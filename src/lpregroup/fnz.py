@@ -47,6 +47,10 @@ class PeriodicFn:
                 f"> vals[0]+n={vals[0] + self.n}"
             )
 
+    @property
+    def is_identity(self) -> bool:
+        return all(v == r for r, v in enumerate(self.vals))
+
     def __call__(self, x: int) -> int:
         return eval(self, x)
 
@@ -184,35 +188,30 @@ def is_periodic_pairs(pairs: Mapping[int, int] | Iterable[tuple[int, int]],
     return True
 
 
-def extend_partial(h: Mapping[int, int], n: int,
-                   permissive: bool = False) -> PeriodicFn:
+def extend_partial(h: Mapping[int, int], n: int) -> PeriodicFn:
     """Extend a finite n-periodic partial function on Z to a total element.
 
-    Raises ValueError if h is not n-periodic as a partial map, or if h is
-    empty (an empty map is vacuously periodic but fixes nothing; pass
-    permissive=True to get the identity in that case).
+    Raises ValueError if h is not n-periodic as a partial map.  An empty h
+    fixes nothing and extends to the identity.
 
     Construction: fold the domain into one period via
     hbar(x mod n) = h(x) - (x - x mod n); extend hbar to all of [0, n) by
     sending r to hbar at the smallest folded domain point >= r, or at the
-    largest folded domain point if none is.
+    largest folded domain point if none is.  One sweep over the sorted
+    folded domain fills each run of residues (prev, a] with hbar(a), and
+    the residues after the last point with hbar(last).
     """
     if not h:
-        if permissive:
-            return id_fn(n)
-        raise ValueError("cannot extend an empty partial function "
-                         "(pass permissive=True for the identity)")
+        return id_fn(n)
     if not is_periodic_pairs(h, n):
         raise ValueError(f"partial function is not {n}-periodic: {dict(h)}")
     folded: dict[int, int] = {}
     for x, hx in h.items():
         folded[x % n] = hx - (x - x % n)
-    dom = sorted(folded)
-    vals = []
-    for r in range(n):
-        above = [a for a in dom if a >= r]
-        a = above[0] if above else dom[-1]
-        vals.append(folded[a])
+    vals: list[int] = []
+    for a in sorted(folded):
+        vals += [folded[a]] * (a + 1 - len(vals))
+    vals += [vals[-1]] * (n - len(vals))
     f = PeriodicFn(n, tuple(vals))
     if any(eval(f, x) != hx for x, hx in h.items()):
         raise AssertionError(f"extension {f} does not agree with {dict(h)}")

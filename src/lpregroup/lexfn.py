@@ -159,7 +159,7 @@ class LexFn:
             if j in seen:
                 raise ValueError(f"duplicate component at {j}")
             seen.add(j)
-            if f != fnz.id_fn(self.n):
+            if not f.is_identity:
                 comps.append((j, f))
         comps.sort()
         object.__setattr__(self, "components", tuple(comps))
@@ -256,51 +256,14 @@ def _tilde_grid(f: LexFn, g: LexFn) -> list[Fraction]:
     return xs if xs else [Fraction(0)]
 
 
-def _equality_regions(f: LexFn, g: LexFn):
-    """Where the global parts agree: a list of closed intervals
-    (lo, hi) with None for an unbounded end, covering exactly
-    {j : f.tilde(j) = g.tilde(j)}.  Meaningful only when one global part
-    is pointwise below the other; may also be used to detect crossings
-    since a sign change shows up as a negative value at a grid point."""
-    xs = _tilde_grid(f, g)
-    d = [g.tilde(x) - f.tilde(x) for x in xs]
-    regions = []
-    if d[0] == 0:
-        regions.append((None, xs[0]))
-    for i in range(len(xs) - 1):
-        if d[i] == 0 and d[i + 1] == 0:
-            regions.append((xs[i], xs[i + 1]))
-        elif d[i] == 0:
-            regions.append((xs[i], xs[i]))
-        elif d[i + 1] == 0:
-            regions.append((xs[i + 1], xs[i + 1]))
-    if d[-1] == 0:
-        regions.append((xs[-1], None))
-    return regions
-
-
-def _in_regions(j: Fraction, regions) -> bool:
-    for lo, hi in regions:
-        if (lo is None or lo <= j) and (hi is None or j <= hi):
-            return True
-    return False
-
-
 def exact_leq(f: LexFn, g: LexFn) -> bool:
-    """Decide the pointwise lexicographic order: the global part of f must
-    stay below g's everywhere, and on the agreement set the fiber
-    components must compare."""
-    if f.n != g.n:
-        raise ValueError(f"period mismatch: {f.n} != {g.n}")
-    xs = _tilde_grid(f, g)
-    if any(f.tilde(x) > g.tilde(x) for x in xs):
-        return False
-    regions = _equality_regions(f, g)
-    for j in set(f.support) | set(g.support):
-        if _in_regions(j, regions):
-            if not fnz.leq(f.component(j), g.component(j)):
-                return False
-    return True
+    """Decide the pointwise lexicographic order.  In a lattice f <= g iff
+    f meet g = f, and meet is exact: between consecutive points of
+    _lattice_grid one global part stays below the other, and on the
+    agreement set the components meet.  Equal functions have equal
+    normal forms (PL anchors normalized, identity components dropped,
+    components sorted), so structural equality decides the order."""
+    return meet(f, g) == f
 
 
 def _lattice_grid(f: LexFn, g: LexFn) -> list[Fraction]:
@@ -357,8 +320,17 @@ def fn_to_json(f: PeriodicFn) -> dict:
     return {"n": f.n, "vals": list(f.vals)}
 
 
+def int_from_json(v) -> int:
+    """A JSON integer as it stands: a float or a boolean is refused with
+    ValueError rather than truncated."""
+    if type(v) is not int:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
 def fn_from_json(data: dict) -> PeriodicFn:
-    return PeriodicFn(int(data["n"]), tuple(int(v) for v in data["vals"]))
+    return PeriodicFn(int_from_json(data["n"]),
+                      tuple(int_from_json(v) for v in data["vals"]))
 
 
 def to_json(f: LexFn) -> dict:
@@ -372,7 +344,7 @@ def to_json(f: LexFn) -> dict:
 
 def from_json(data: dict) -> LexFn:
     return LexFn(
-        int(data["n"]),
+        int_from_json(data["n"]),
         PLBijection.from_json(data["tilde"]),
         tuple((Fraction(c["j"]), fn_from_json(c["fn"]))
               for c in data["components"]),

@@ -43,7 +43,7 @@ class WreathElement:
             if j in seen:
                 raise ValueError(f"duplicate component at {j}")
             seen.add(j)
-            if f != fnz.id_fn(self.n):
+            if not f.is_identity:
                 kept.append((int(j), f))
         kept.sort()
         object.__setattr__(self, "comps", tuple(kept))
@@ -82,11 +82,8 @@ def multiply(a: WreathElement, b: WreathElement) -> WreathElement:
 
 
 def leq(a: WreathElement, b: WreathElement) -> bool:
-    _check(a, b)
-    if a.h != b.h:
-        return a.h < b.h
-    return all(fnz.leq(a.comp(j), b.comp(j))
-               for j in set(a.support) | set(b.support))
+    """a <= b iff a meet b = a; elements are kept in normal form."""
+    return meet(a, b) == a
 
 
 def _lattice(a: WreathElement, b: WreathElement,

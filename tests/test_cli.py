@@ -190,8 +190,17 @@ def test_internal_error_exits_four(capsys, monkeypatch):
     ' {"breakpoints": ["0"], "pieces": [{"slope": "1", "intercept": "-1"},'
     ' {"slope": "1", "intercept": "3"}]}, "components": []}},'
     ' "point": {"q": "1", "z": 1}}',
+    '{"space": "FnZ", "n": 1, "assignment": {"x": {"n": 1.9, "vals":'
+    ' [-1.5]}}, "point": 0}',
+    '{"space": "FnZ", "n": 1, "assignment": {"x": {"n": 1, "vals": [-1]}},'
+    ' "point": true}',
+    '{"space": "FnQxZ", "n": 1, "assignment": {"x": {"n": 1, "tilde":'
+    ' {"breakpoints": [], "pieces": [{"slope": "1", "intercept": "0"}]},'
+    ' "components": [{"j": "0", "fn": {"n": 1, "vals": [-1]}}]}},'
+    ' "point": {"q": "1/0", "z": 0}}',
 ], ids=["missing-fields", "list", "bad-function", "null-point",
-        "unknown-space", "wrong-period", "bent-tail", "broken-piece"])
+        "unknown-space", "wrong-period", "bent-tail", "broken-piece",
+        "float-value", "bool-point", "zero-denominator"])
 def test_malformed_witness_file_exits_three(capsys, tmp_path, body):
     path = tmp_path / "junk.json"
     path.write_text(body)

@@ -271,6 +271,31 @@ def test_capped_dlp_realizes_at_the_reduced_period():
     assert verify_witness("x y = y x", w)
 
 
+_DLP_REALIZE_RSS = """
+import resource
+from lpregroup import decide
+eq = "x y x^l y^l <= 1"
+v = decide.decide_dlp(eq, budget=200_000)
+print(v.status, v.n, decide.verify_witness(eq, v.witness),
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_capped_dlp_realizes_a_long_period_in_bounded_memory():
+    # N = 2^10 * 10^4 = 10,240,000: each extension is one sweep over a
+    # period, and no identity of that length is built to drop components;
+    # the witness JSON (two periods of values per function) is not printed
+    src = os.path.dirname(os.path.dirname(decide.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _DLP_REALIZE_RSS],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    status, n, verified, rss_kb = proc.stdout.split()
+    assert (status, n, verified) == (FAILS, "10240000", "True")
+    assert int(rss_kb) < 400 * 1024
+
+
 def test_capped_never_claims_valid_with_candidates_pending():
     # capped mode refutes these candidates only up to a practical height,
     # which is not a proof

@@ -30,6 +30,19 @@ def oracle_rinv_at(f, b, span=64):
     raise AssertionError("scan window too small")
 
 
+def oracle_extend(h, n):
+    """The periodic extension residue by residue: fold h into one period,
+    then send r to the folded value at the smallest folded point >= r, or
+    at the largest folded point if none is."""
+    folded = {x % n: hx - (x - x % n) for x, hx in h.items()}
+    dom = sorted(folded)
+    vals = []
+    for r in range(n):
+        above = [a for a in dom if a >= r]
+        vals.append(folded[above[0] if above else dom[-1]])
+    return PeriodicFn(n, tuple(vals))
+
+
 def oracle_is_periodic(pairs, n):
     """Definitional check: x <= y + kn implies h(x) <= h(y) + kn.
 
@@ -108,9 +121,8 @@ def test_extend_partial_two_point_example():
 
 
 def test_extend_partial_empty():
-    with pytest.raises(ValueError):
-        fnz.extend_partial({}, 3)
-    assert fnz.extend_partial({}, 3, permissive=True) == fnz.id_fn(3)
+    # an empty map fixes nothing and extends to the identity
+    assert fnz.extend_partial({}, 3) == fnz.id_fn(3)
 
 
 def test_extend_partial_rejects_aperiodic():
@@ -122,6 +134,12 @@ def test_extend_partial_rejects_aperiodic():
 def test_shift_fn_and_id():
     assert fnz.id_fn(3)(17) == 17
     assert fnz.shift_fn(2, 5)(-3) == 2
+
+
+@given(periodic_fns())
+def test_is_identity_by_value(f):
+    assert f.is_identity == (f == fnz.id_fn(f.n))
+    assert fnz.id_fn(f.n).is_identity
 
 
 # --------------------------------------------------------- property tests
@@ -237,6 +255,14 @@ def test_extend_partial_extends_any_restriction(f, dom):
     h = {x: fnz.eval(f, x) for x in dom}
     g = fnz.extend_partial(h, f.n)
     assert all(fnz.eval(g, x) == h[x] for x in h)
+
+
+@settings(max_examples=300)
+@given(periodic_fns(max_n=12, bound=30),
+       st.sets(st.integers(-40, 40), min_size=1, max_size=8))
+def test_extend_partial_matches_residue_rule(f, dom):
+    h = {x: fnz.eval(f, x) for x in dom}
+    assert fnz.extend_partial(h, f.n) == oracle_extend(h, f.n)
 
 
 @settings(max_examples=200)

@@ -195,6 +195,29 @@ def test_exact_leq_implies_sampled_leq(f, g, sample):
         assert lexfn.leq(f, g, sample)
 
 
+def _covering_sample(f, g):
+    """Points where f and g can disagree in order: the lattice grid, both
+    supports, the midpoints between them and one block beyond each end,
+    each with every residue.  Between consecutive indices one global part
+    stays on one side of the other, off the supports both components are
+    the identity, and a component is decided by one period."""
+    js = sorted(set(lexfn._lattice_grid(f, g)) | set(f.support)
+                | set(g.support))
+    js += [(a + b) / 2 for a, b in zip(js, js[1:])]
+    js += [js[0] - 1, max(js) + 1]
+    return [(j, r) for j in js for r in range(f.n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(lex_fns(n), lex_fns(n))),
+       st.booleans())
+def test_exact_leq_matches_covering_sample(pair, ordered):
+    f, g = pair
+    if ordered:  # half the draws compare f with something above it
+        g = lexfn.join(f, g)
+    assert lexfn.exact_leq(f, g) == lexfn.leq(f, g, _covering_sample(f, g))
+
+
 def test_exact_leq_component_sensitivity():
     lo = LexFn(2, PLBijection(), ((Fraction(1), PeriodicFn(2, (0, 1))),))
     hi = LexFn(2, PLBijection(), ((Fraction(1), PeriodicFn(2, (1, 1))),))

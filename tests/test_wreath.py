@@ -93,6 +93,19 @@ def test_lattice_agrees_with_order(a, b):
     assert leq(a, b) == (meet(a, b) == a)
 
 
+@settings(max_examples=200, deadline=None)
+@given(elements(n=2), elements(n=2), st.booleans())
+def test_leq_matches_action(a, b, ordered):
+    # the supports, one index off both, and one period of residues cover
+    # every place where the two actions can compare differently
+    if ordered:
+        b = join(a, b)
+    js = set(a.support) | set(b.support)
+    js.add(max(js, default=0) + 1)
+    sample = [(j, r) for j in js for r in range(a.n)]
+    assert leq(a, b) == all(a.act(p) <= b.act(p) for p in sample)
+
+
 @settings(max_examples=150, deadline=None)
 @given(elements(n=2), elements(n=2), elements(n=2))
 def test_distributivity(a, b, c):
