@@ -41,8 +41,9 @@ class LinearSystem:
     num_vars: int
 
     def __post_init__(self):
-        assert len(self.rows) == len(self.rhs)
-        assert all(len(r) == self.num_vars for r in self.rows)
+        if len(self.rows) != len(self.rhs) \
+                or any(len(r) != self.num_vars for r in self.rows):
+            raise AssertionError("rows, right-hand sides and width differ")
 
 
 def build_1transfer_system(e: SpacingEmbedding) -> LinearSystem:
@@ -67,10 +68,11 @@ def build_1transfer_system(e: SpacingEmbedding) -> LinearSystem:
 
     def add_row(coefs: tuple[int, ...], rhs: int):
         if all(c == 0 for c in coefs):
-            assert rhs == 0, "inconsistent zero row from a valid chain"
+            if rhs != 0:
+                raise AssertionError("zero row with a nonzero right-hand side")
             return
-        prev = rows.setdefault(coefs, rhs)
-        assert prev == rhs, "conflicting rows from a valid chain"
+        if rows.setdefault(coefs, rhs) != rhs:
+            raise AssertionError("conflicting rows from a valid chain")
 
     diffs = {b - a for a in pos for b in pos if a != b}
     for c in sorted(diffs):
@@ -81,8 +83,9 @@ def build_1transfer_system(e: SpacingEmbedding) -> LinearSystem:
             coefs = tuple((1 if z < k <= j else 0) - (1 if zp < k <= jp else 0)
                           for k in range(1, npts))
             rhs = (jp - zp) - (j - z)
-            assert all(v in (-1, 0, 1) for v in coefs)
-            assert abs(rhs) <= 2 * npts
+            if any(v not in (-1, 0, 1) for v in coefs) \
+                    or abs(rhs) > 2 * npts:
+                raise AssertionError(f"row {coefs} = {rhs} out of range")
             add_row(coefs, rhs)
     for a, b in e.chain.covers:
         coefs = tuple(1 if k == b else 0 for k in range(1, npts))
@@ -90,8 +93,8 @@ def build_1transfer_system(e: SpacingEmbedding) -> LinearSystem:
 
     system = LinearSystem(tuple(rows), tuple(rows[r] for r in rows), nvars)
     for coefs, rhs in zip(system.rows, system.rhs):
-        assert sum(c * y for c, y in zip(coefs, orig_y)) == rhs, \
-            "input chain must solve its own system"
+        if sum(c * y for c, y in zip(coefs, orig_y)) != rhs:
+            raise AssertionError("input chain must solve its own system")
     return system
 
 
@@ -221,12 +224,14 @@ def find_short_1transfer(e: SpacingEmbedding) -> SpacingEmbedding:
     with height at most rho(size)."""
     system = build_1transfer_system(e)
     y = solve_bounded_nonneg(system)
-    assert y is not None, "own chain solves the system, so must the search"
+    if y is None:
+        raise AssertionError("own chain solves the system, so must the search")
     positions = [0]
     for k, deficit in enumerate(y):
         positions.append(positions[-1] + deficit + 1)
     out = SpacingEmbedding(e.chain, tuple(positions))
-    assert out.height <= rho(e.chain.size)
+    if out.height > rho(e.chain.size):
+        raise AssertionError(f"height {out.height} above rho")
     return out
 
 
@@ -252,7 +257,8 @@ def find_short_ntransfer(e: SpacingEmbedding, n: int) -> SpacingEmbedding:
     raw = [d(qindex[x // n]) * n + x % n for x in xs]
     # periodicity transfer is translation-invariant, so normalize to min 0
     out = SpacingEmbedding(e.chain, tuple(p - raw[0] for p in raw))
-    assert out.height <= nu(e.chain.size, n)
+    if out.height > nu(e.chain.size, n):
+        raise AssertionError(f"height {out.height} above nu")
     return out
 
 

@@ -54,9 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exhaust the search space; both answers are proofs")
     d.add_argument("--budget", type=int,
                    help="search node budget (default: capped-mode preset)")
-    d.add_argument("--n-override", type=int, dest="n_override",
-                   help="dlp only: decide at this period instead of the "
-                        "reduced one")
     d.add_argument("--force", action="store_true",
                    help="dlp only: allow a complete run past the "
                         "practicality threshold")
@@ -97,15 +94,13 @@ def _cmd_decide(args) -> int:
     if args.theory == "dlp":
         if args.n is not None:
             raise _UsageError("--theory dlp computes its own period; "
-                              "use --n-override to substitute one")
+                              "use --theory lpn --n N to decide at another")
         verdict = decide.decide_dlp(
             args.equation, complete=args.complete, budget=args.budget,
-            n_override=args.n_override, force=args.force)
+            force=args.force)
     else:
         if args.n is None:
             raise _UsageError(f"--theory {args.theory} requires --n")
-        if args.n_override is not None:
-            raise _UsageError("--n-override only applies to --theory dlp")
         proc = decide.decide_fnz if args.theory == "fnz" else decide.decide_lpn
         verdict = proc(args.equation, args.n, complete=args.complete,
                        budget=args.budget)

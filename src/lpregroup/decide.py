@@ -6,11 +6,13 @@ Three entry points, one per theory:
   integer chain.  The search runs over compatible surjections; a failing
   one plus a spacing embedding realizes concrete functions.
 - decide_lpn: validity in the variety of n-periodic l-pregroups.  Same
-  shape, but the candidates are block-grid diagrams, the embedding is
-  shared across blocks, and the witness lives on the lexicographic
-  chain Q x Z.
+  shape, but the candidates are block-grid diagrams, each carrying its
+  slot chain and per-block slot functions, the embedding is shared
+  across blocks, and the witness lives on the lexicographic chain Q x Z.
 - decide_dlp: validity in distributive l-pregroups, by reduction to
-  decide_lpn at an exactly computed period.
+  decide_lpn at an exactly computed period.  LP_n is contained in DLP,
+  so a fails verdict from decide_lpn at any n refutes the equation in
+  DLP too; a valid one says something about DLP only at that period.
 
 A verdict is "valid" only when the failure search space was provably
 exhausted: either complete mode, where every embedding refutation is run
@@ -43,7 +45,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import fnz, lexfn, spacing, term
-from .diagram import BudgetExceeded, SpacingEmbedding
+from .diagram import BudgetExceeded, PartialFn, SpacingEmbedding
 from .fnz import PeriodicFn
 from .lexfn import LexFn, PLBijection
 from .search import (CompatibleSurjection, NodeBudget, PartitionDiagram,
@@ -62,8 +64,7 @@ DEFAULT_NODE_BUDGET = 2_000_000
 EMBED_NODE_BUDGET = 20_000
 
 # largest reduced period decide_dlp will run to completion without force;
-# witness realization materializes one period of each function, so truly
-# enormous periods are only practical through n_override
+# witness realization materializes one period of each function
 DLP_PRACTICAL_MAX = 20_000
 
 FnPoint = Union[int, tuple[Fraction, int]]
@@ -109,7 +110,8 @@ def _point_to_json(space: str, p: FnPoint):
 def _point_from_json(space: str, data) -> FnPoint:
     if space == "FnZ":
         return lexfn.int_from_json(data)
-    return (Fraction(data["q"]), lexfn.int_from_json(data["z"]))
+    return (lexfn.rational_from_json(data["q"]),
+            lexfn.int_from_json(data["z"]))
 
 
 def witness_from_json(data: dict) -> Witness:
@@ -182,7 +184,7 @@ def _check_realized(eq: IntensionalEquation, fns, p, ev, want_at
     return tuple(checked)
 
 
-def realize_fnz_witness(phi: CompatibleSurjection, e: SpacingEmbedding,
+def realize_fnz_witness(cs: CompatibleSurjection, e: SpacingEmbedding,
                         eq: IntensionalEquation, n: int,
                         names: list[str]) -> Witness:
     """Concrete n-periodic functions on Z, one per name in names, from a
@@ -194,11 +196,11 @@ def realize_fnz_witness(phi: CompatibleSurjection, e: SpacingEmbedding,
     checked against the diagram, final subword by final subword."""
     fns = {}
     for name in names:
-        pairs = {e(x): e(y) for x, y in phi.fn(name).pairs}
-        fns[name] = fnz.extend_partial(pairs, n)
-    p = e(phi.value(()))
+        g = cs.fns.get(name, PartialFn(()))
+        fns[name] = fnz.extend_partial({e(x): e(y) for x, y in g.pairs}, n)
+    p = e(cs.phi[()])
     checked = _check_realized(eq, fns, p, fnz.eval_word,
-                              lambda pt: e(phi.value(pt)))
+                              lambda pt: e(cs.phi[pt]))
     return Witness("FnZ", n, fns, p, 0, checked)
 
 
@@ -216,24 +218,22 @@ def realize_lex_witness(pd: PartitionDiagram, e: SpacingEmbedding,
     identity component, so a variable with no pairs is the identity.  As
     in the integer case, every evaluation is checked against the diagram
     before the witness is returned."""
+    def at(v: tuple[int, int]) -> tuple[Fraction, int]:
+        return (Fraction(v[0]), e(v[1]))
+
     fns = {}
     for name in names:
-        gt = pd.gtilde(name)
+        per = sorted(pd.blocks.get(name, {}).items())
         tilde = PLBijection(tuple((Fraction(j), Fraction(k))
-                                  for j, k in sorted(gt.items())))
-        comps = []
-        for j in sorted(gt):
-            pairs = {e(s): e(t) for s, t in pd.gbar(name, j).pairs}
-            comps.append((Fraction(j), fnz.extend_partial(pairs, n)))
-        fns[name] = LexFn(n, tilde, tuple(comps))
-    block, slot = pd.point
-
-    def want_at(pt):
-        wb, ws = pd.phi[pt]
-        return (Fraction(wb), e(ws))
-
-    p = (Fraction(block), e(slot))
-    checked = _check_realized(eq, fns, p, lexfn.eval_word, want_at)
+                                  for j, (k, _) in per))
+        comps = tuple(
+            (Fraction(j),
+             fnz.extend_partial({e(s): e(t) for s, t in g.pairs}, n))
+            for j, (_, g) in per)
+        fns[name] = LexFn(n, tilde, comps)
+    p = at(pd.phi[()])
+    checked = _check_realized(eq, fns, p, lexfn.eval_word,
+                              lambda pt: at(pd.phi[pt]))
     return Witness("FnQxZ", n, fns, p, 0, checked)
 
 
@@ -262,8 +262,7 @@ def verify_witness(eq: Union[Equation, str], w: Witness) -> bool:
 # ------------------------------------------------------------- the drivers
 
 def _decide(eq: Union[Equation, str], n: int, complete: bool,
-            budget: Optional[int], *, enumerate_failing, chain_of, fns_of,
-            realize) -> Verdict:
+            budget: Optional[int], enumerate_failing, realize) -> Verdict:
     if n < 1:
         raise ValueError(f"period must be positive, got {n}")
     if budget is not None and budget < 0:
@@ -292,15 +291,14 @@ def _decide(eq: Union[Equation, str], n: int, complete: bool,
                 stats["renamed_conjuncts"] += 1
                 continue
             decided.add(key)
-            for cand in enumerate_failing(conj, nb):
+            for cand in enumerate_failing(conj, require_failure=True,
+                                          budget=nb):
                 stats["failing_candidates"] += 1
-                chain = chain_of(cand)
-                fns = fns_of(cand)
                 t_embed = time.perf_counter()
                 try:
                     emb = spacing.find_witness_embedding(
-                        chain, fns, n,
-                        cap=spacing.complete_cap(chain.size, n)
+                        cand.chain, cand.fns, n,
+                        cap=spacing.complete_cap(cand.chain.size, n)
                         if complete else None,
                         node_budget=None if complete else EMBED_NODE_BUDGET)
                 except BudgetExceeded:
@@ -333,13 +331,8 @@ def decide_fnz(eq: Union[Equation, str], n: int, complete: bool = False,
     embedding refutation up to the re-spacing bound, so both answers are
     proofs.  Capped mode (the default) stops at a node budget and only
     claims validity when no failing candidate exists at all."""
-    return _decide(
-        eq, n, complete, budget,
-        enumerate_failing=lambda conj, nb: enumerate_compatible_surjections(
-            conj, require_failure=True, budget=nb),
-        chain_of=lambda cand: cand.chain,
-        fns_of=lambda cand: cand.fns,
-        realize=realize_fnz_witness)
+    return _decide(eq, n, complete, budget,
+                   enumerate_compatible_surjections, realize_fnz_witness)
 
 
 def decide_lpn(eq: Union[Equation, str], n: int, complete: bool = False,
@@ -350,18 +343,12 @@ def decide_lpn(eq: Union[Equation, str], n: int, complete: bool = False,
     shared slot chain must make every block's local function n-periodic
     at once, and a found witness lives on the chain Q x Z with blocks at
     the integer rationals.  Completeness discipline is as in decide_fnz."""
-    return _decide(
-        eq, n, complete, budget,
-        enumerate_failing=lambda conj, nb: enumerate_partition_diagrams(
-            conj, require_failure=True, budget=nb),
-        chain_of=lambda cand: cand.slot_chain(),
-        fns_of=lambda cand: cand.local_fns(),
-        realize=realize_lex_witness)
+    return _decide(eq, n, complete, budget,
+                   enumerate_partition_diagrams, realize_lex_witness)
 
 
 def decide_dlp(eq: Union[Equation, str], complete: bool = False,
                budget: Optional[int] = None,
-               n_override: Optional[int] = None,
                force: bool = False) -> Verdict:
     """Decide validity in distributive l-pregroups by reduction.
 
@@ -369,17 +356,14 @@ def decide_dlp(eq: Union[Equation, str], complete: bool = False,
     n-periodic variety for n = 2^s * s^4.  That period is computed
     exactly (as a big integer) and reported in the verdict.  It grows so
     fast that complete runs are refused above a practicality threshold
-    unless force=True; n_override substitutes a chosen period instead,
-    which turns the run into a plain decide_lpn call at that period (an
-    unconditional answer only for the reduced value)."""
+    unless force=True.  Only this period makes a valid verdict a proof
+    about DLP.  A fails verdict from decide_lpn at any period also
+    refutes the equation in DLP, because LP_n is contained in DLP."""
     eqobj = term.parse(eq) if isinstance(eq, str) else eq
-    if n_override is not None:
-        n = n_override
-    else:
-        s = term.equation_size(eqobj)
-        n = (1 << s) * s ** 4
+    s = term.equation_size(eqobj)
+    n = (1 << s) * s ** 4
     if complete and n > DLP_PRACTICAL_MAX and not force:
         raise ValueError(
             f"complete decision at the reduced period n={n} is impractical "
-            f"on this machine; pass force=True or use n_override")
+            f"on this machine; pass force=True")
     return decide_lpn(eqobj, n, complete=complete, budget=budget)

@@ -107,8 +107,9 @@ class PLBijection:
 
     @classmethod
     def from_json(cls, data: dict) -> "PLBijection":
-        xs = [Fraction(s) for s in data["breakpoints"]]
-        pieces = [(Fraction(p["slope"]), Fraction(p["intercept"]))
+        xs = [rational_from_json(s) for s in data["breakpoints"]]
+        pieces = [(rational_from_json(p["slope"]),
+                   rational_from_json(p["intercept"]))
                   for p in data["pieces"]]
         if len(pieces) != len(xs) + 1:
             raise ValueError("need one more piece than breakpoints")
@@ -328,6 +329,14 @@ def int_from_json(v) -> int:
     return v
 
 
+def rational_from_json(v) -> Fraction:
+    """A rational as to_json writes it, a string such as "-3/2", or a
+    JSON integer; a float or a boolean is refused with ValueError."""
+    if type(v) is not str and type(v) is not int:
+        raise ValueError(f"expected a rational string or integer, got {v!r}")
+    return Fraction(v)
+
+
 def fn_from_json(data: dict) -> PeriodicFn:
     return PeriodicFn(int_from_json(data["n"]),
                       tuple(int_from_json(v) for v in data["vals"]))
@@ -346,6 +355,6 @@ def from_json(data: dict) -> LexFn:
     return LexFn(
         int_from_json(data["n"]),
         PLBijection.from_json(data["tilde"]),
-        tuple((Fraction(c["j"]), fn_from_json(c["fn"]))
+        tuple((rational_from_json(c["j"]), fn_from_json(c["fn"]))
               for c in data["components"]),
     )

@@ -34,6 +34,9 @@ cells of such a grid flattens it to a plain compatible surjection, and
 the grid is recovered by cutting the chain into consecutive blocks and
 ordering the slots of all its elements as a second weak order, so the
 partition stream is the plain stream composed with these structurings.
+Each diagram is built straight from its structuring as the embedding
+problem it poses: the slot chain shared by all blocks and, per variable
+and block, the image block and the slot function.
 """
 
 from __future__ import annotations
@@ -66,68 +69,29 @@ class CompatibleSurjection:
     """Onto map from the termination points to a finite chain, satisfying
     conditions (i)-(iii), with the induced covers and partial functions."""
 
-    q: int
     phi: dict[Point, int]
     chain: CChain
     fns: dict[str, PartialFn]
 
-    def value(self, p: Point) -> int:
-        return self.phi[p]
-
-    def fn(self, name: str) -> PartialFn:
-        return self.fns.get(name, PartialFn(()))
-
 
 @dataclass
 class PartitionDiagram:
-    """Block-partitioned counterpart: values are (block, slot) pairs; the
-    flat chain linearizes them lexicographically with within-block covers.
-    """
+    """Block-grid counterpart: phi sends each point to a (block, slot)
+    pair, chain is the slot chain shared by all blocks (a cover wherever
+    some block has one), and blocks sends each variable's name to its
+    blocks j, each with its image block k and its slot function there.
+    The block-level shadow j -> k is a partial injection."""
 
-    blocks: int
-    slots: int
     phi: dict[Point, tuple[int, int]]
     chain: CChain
-    fns: dict[str, PartialFn]
-
-    def flat(self, v: tuple[int, int]) -> int:
-        return v[0] * self.slots + v[1]
+    blocks: dict[str, dict[int, tuple[int, PartialFn]]]
 
     @property
-    def point(self) -> tuple[int, int]:
-        return self.phi[()]
-
-    def fn(self, name: str) -> PartialFn:
-        return self.fns.get(name, PartialFn(()))
-
-    def gtilde(self, name: str) -> dict[int, int]:
-        """Induced block-level partial injection."""
-        out = {}
-        for a, b in self.fn(name).pairs:
-            out[a // self.slots] = b // self.slots
-        return out
-
-    def gbar(self, name: str, block: int) -> PartialFn:
-        """Slot-level restriction of a function to one block."""
-        pairs = {a % self.slots: b % self.slots
-                 for a, b in self.fn(name).pairs
-                 if a // self.slots == block}
-        return PartialFn.from_mapping(pairs)
-
-    def slot_chain(self) -> CChain:
-        """The shared slot chain, with a cover wherever any block has one."""
-        covers = {(a % self.slots, b % self.slots)
-                  for a, b in self.chain.covers}
-        return CChain(self.slots, frozenset(covers))
-
-    def local_fns(self) -> list[PartialFn]:
-        """All per-block slot functions, the family a shared spacing
-        embedding must make n-periodic at once."""
-        out = []
-        for name in self.fns:
-            for block in self.gtilde(name):
-                out.append(self.gbar(name, block))
-        return out
+    def fns(self) -> list[PartialFn]:
+        """Every slot function, names in order and blocks ascending: the
+        family a shared spacing embedding must make n-periodic at once."""
+        return [g for per in self.blocks.values()
+                for _, (_, g) in sorted(per.items())]
 
 
 # ----------------------------------------------------------- point plumbing
@@ -429,9 +393,8 @@ def enumerate_compatible_surjections(
     for q, values, covers, fns in _plain_assignments(table, require_failure,
                                                      budget):
         phi = {p: values[i] for i, p in enumerate(table[0])}
-        chain = CChain(q, frozenset(covers))
         yield CompatibleSurjection(
-            q, phi, chain,
+            phi, CChain(q, frozenset(covers)),
             {name: PartialFn.from_mapping(g) for name, g in fns.items()})
 
 
@@ -504,25 +467,25 @@ def enumerate_partition_diagrams(
     the diagram is recovered from that surjection by a unique
     structuring.  So the stream is: every compatible surjection, lifted
     through every structuring of its chain.  Blocks and slots are named
-    by their final ranks; the flat chain is the full grid, covers
-    sitting inside single blocks."""
+    by their final ranks, and each cover of the surjection becomes a
+    cover of the slot chain."""
     table = _point_table(eq, budget)
     for q, values, covers, fns in _plain_assignments(table, require_failure,
                                                      budget):
-        for blk, slt, b, d in _structurings(q, covers, fns, budget):
-            def flat(c: int) -> int:
-                return blk[c] * d + slt[c]
+        for blk, slt, _, d in _structurings(q, covers, fns, budget):
             phi = {p: (blk[values[i]], slt[values[i]])
                    for i, p in enumerate(table[0])}
-            grid_covers = set()
+            slot_covers = set()
             for a, a1 in covers:
                 if blk[a1] != blk[a] or slt[a1] != slt[a] + 1:
                     raise AssertionError(f"cover {(a, a1)} split by the grid")
-                grid_covers.add((flat(a), flat(a) + 1))
-            grid_fns = {
-                name: PartialFn.from_mapping(
-                    {flat(x): flat(y) for x, y in g.items()})
-                for name, g in fns.items()}
-            yield PartitionDiagram(b, d, phi,
-                                   CChain(b * d, frozenset(grid_covers)),
-                                   grid_fns)
+                slot_covers.add((slt[a], slt[a1]))
+            blocks = {}
+            for name, g in fns.items():
+                per: dict[int, tuple[int, dict]] = {}
+                for x, y in g.items():
+                    per.setdefault(blk[x], (blk[y], {}))[1][slt[x]] = slt[y]
+                blocks[name] = {j: (k, PartialFn.from_mapping(h))
+                                for j, (k, h) in per.items()}
+            yield PartitionDiagram(phi, CChain(d, frozenset(slot_covers)),
+                                   blocks)

@@ -304,12 +304,15 @@ def test_criterion_8_wreath_representation():
 
 def test_criterion_9_dlp_reduction_plumbing():
     with report(9, "distributive reduction computes its period exactly "
-                   "and reuses the failing corpus under override"):
+                   "and refutes the failing corpus at it"):
         eq = term.parse("x <= x^l")
         assert term.equation_size(eq) == 3
         assert decide.decide_dlp(eq).n == 2 ** 3 * 3 ** 4 == 648
 
-        v = decide.decide_dlp("1 <= x", n_override=1)
+        v = decide.decide_dlp("1 <= x")
+        assert v.status == FAILS and verify_witness("1 <= x", v.witness)
+        # a failure in LP_1, which lies inside DLP, refutes there too
+        v = decide.decide_lpn("1 <= x", 1)
         assert v.status == FAILS and verify_witness("1 <= x", v.witness)
 
         # full-bound complete runs are out of desk range by design: the

@@ -120,22 +120,22 @@ def test_budget_exhaustion_exit_code(capsys):
 
 
 def test_dlp_paths(capsys):
-    code, out, _ = run(capsys, "decide", "--theory", "dlp",
-                       "--n-override", "1", "1 <= x")
+    code, out, _ = run(capsys, "decide", "--theory", "lpn", "--n", "1",
+                       "1 <= x")
     assert code == 1
     assert json.loads(out)["n"] == 1
 
     code, _, err = run(capsys, "decide", "--theory", "dlp", "--complete",
                        "x y = y x")
     assert code == 3
-    assert "n_override" in err or "impractical" in err
+    assert "impractical" in err
 
 
 @pytest.mark.parametrize("argv", [
     ("decide", "--theory", "fnz", "1 <= x"),              # missing --n
     ("decide", "--theory", "dlp", "--n", "2", "1 <= x"),  # dlp owns its n
     ("decide", "--theory", "fnz", "--n", "1",
-     "--n-override", "2", "1 <= x"),                      # override off dlp
+     "--n-override", "2", "1 <= x"),                      # no such option
     ("decide", "--theory", "nope", "--n", "1", "1 <= x"),
     ("decide", "--theory", "fnz", "--n", "1", "1 <= )("),
     ("decide", "--theory", "fnz", "--n", "0", "1 <= x"),
@@ -148,6 +148,8 @@ def test_dlp_paths(capsys):
      "--budget", "-5", "1 <= x"),                         # negative budget
     ("oracle", "--theory", "fnz", "--n", "1",
      "--budget", "-3", "1 <= x"),                         # negative budget
+    ("decide", "--theory", "dlp", "--n-override", "1",
+     "--complete", "x^(2) = x"),                          # no such option
 ])
 def test_config_errors_exit_three(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -198,9 +200,18 @@ def test_internal_error_exits_four(capsys, monkeypatch):
     ' {"breakpoints": [], "pieces": [{"slope": "1", "intercept": "0"}]},'
     ' "components": [{"j": "0", "fn": {"n": 1, "vals": [-1]}}]}},'
     ' "point": {"q": "1/0", "z": 0}}',
+    '{"space": "FnQxZ", "n": 1, "assignment": {"x": {"n": 1, "tilde":'
+    ' {"breakpoints": [], "pieces": [{"slope": "1", "intercept": "0"}]},'
+    ' "components": [{"j": true, "fn": {"n": 1, "vals": [-1]}}]}},'
+    ' "point": {"q": "1", "z": 0}}',
+    '{"space": "FnQxZ", "n": 1, "assignment": {"x": {"n": 1, "tilde":'
+    ' {"breakpoints": [], "pieces": [{"slope": "1", "intercept": "0"}]},'
+    ' "components": [{"j": "1", "fn": {"n": 1, "vals": [-1]}}]}},'
+    ' "point": {"q": 1.0, "z": 0}}',
 ], ids=["missing-fields", "list", "bad-function", "null-point",
         "unknown-space", "wrong-period", "bent-tail", "broken-piece",
-        "float-value", "bool-point", "zero-denominator"])
+        "float-value", "bool-point", "zero-denominator", "bool-block",
+        "float-point"])
 def test_malformed_witness_file_exits_three(capsys, tmp_path, body):
     path = tmp_path / "junk.json"
     path.write_text(body)

@@ -194,17 +194,20 @@ def test_dlp_reduced_period_exact():
     assert v.n == 2 ** 3 * 3 ** 4 == 648
 
 
-def test_dlp_override_reproduces_failure():
-    v = decide.decide_dlp("1 <= x", n_override=1)
+def test_lpn_failure_at_a_small_period_refutes_in_dlp():
+    # LP_1 is contained in DLP, so a verified lpn witness at n=1 refutes
+    # the equation in DLP as well; so does decide_dlp at its own period
+    v = decide.decide_lpn("1 <= x", 1)
     assert v.status == FAILS and v.n == 1
     assert verify_witness("1 <= x", v.witness)
+    assert decide.decide_dlp("1 <= x").status == FAILS
 
 
 def test_dlp_refuses_impractical_complete_run():
     with pytest.raises(ValueError):
         decide.decide_dlp("x y = y x", complete=True)
-    # same equation is fine with an override
-    v = decide.decide_dlp("x y = y x", complete=True, n_override=1)
+    # the same equation fails completely at a small period, under lpn
+    v = decide.decide_lpn("x y = y x", 1, complete=True)
     assert v.status == FAILS
 
 

@@ -1,4 +1,5 @@
-"""Every name a source module imports is used in that module."""
+"""Every name a source module imports is used in that module, and no
+source module relies on a bare assert, which python -O strips."""
 
 import ast
 import pathlib
@@ -34,3 +35,19 @@ def test_detects_unused_import():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def bare_asserts(source: str) -> list[int]:
+    """Line numbers of the assert statements in a module."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_detects_bare_assert():
+    assert bare_asserts("x = 1\nassert x, 'why'\n") == [2]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_bare_asserts(path):
+    assert bare_asserts(path.read_text()) == []

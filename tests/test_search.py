@@ -108,17 +108,30 @@ def engine_surjections(eq):
     pts = sorted_points(eq)
     out = []
     for cs in enumerate_compatible_surjections(eq):
-        out.append((cs.q, tuple(cs.phi[p] for p in pts)))
+        out.append((cs.chain.size, tuple(cs.phi[p] for p in pts)))
     return out
+
+
+def grid_key(pd, pts):
+    """(blocks, slots, flat values) of a diagram, its grid ranked as
+    block * slots + slot, as brute_partitions lists it."""
+    d = pd.chain.size
+    b = 1 + max(j for j, _ in pd.phi.values())
+    return b, d, tuple(j * d + s for j, s in (pd.phi[p] for p in pts))
+
+
+def flat_fns(pd):
+    """Each variable's function on the flat grid, rebuilt from its
+    blocks."""
+    d = pd.chain.size
+    return {name: {j * d + x: k * d + y
+                   for j, (k, g) in per.items() for x, y in g.pairs}
+            for name, per in pd.blocks.items()}
 
 
 def engine_partitions(eq):
     pts = sorted_points(eq)
-    out = []
-    for pd in enumerate_partition_diagrams(eq):
-        out.append((pd.blocks, pd.slots,
-                    tuple(pd.flat(pd.phi[p]) for p in pts)))
-    return out
+    return [grid_key(pd, pts) for pd in enumerate_partition_diagrams(eq)]
 
 
 # ------------------------------------------------------ compatible surjections
@@ -139,7 +152,8 @@ def test_surjections_match_bruteforce():
 
 
 def test_surjection_stream_q_ascending():
-    qs = [cs.q for cs in enumerate_compatible_surjections(conjunct("1 <= x^l"))]
+    qs = [cs.chain.size
+          for cs in enumerate_compatible_surjections(conjunct("1 <= x^l"))]
     assert qs and qs == sorted(qs)
 
 
@@ -158,7 +172,7 @@ def test_failing_surjections_for_one_leq_x():
     assert len(failing) == 1
     cs = failing[0]
     assert fails_in(cs, eq)
-    assert cs.q == 2 and cs.phi[()] == 1
+    assert cs.chain.size == 2 and cs.phi[()] == 1
 
 
 def test_require_failure_equals_filtered_stream():
@@ -166,7 +180,7 @@ def test_require_failure_equals_filtered_stream():
         eq = conjunct(text)
         pts = sorted_points(eq)
         def key(cs):
-            return (cs.q, tuple(cs.phi[p] for p in pts))
+            return (cs.chain.size, tuple(cs.phi[p] for p in pts))
         want = {key(cs) for cs in enumerate_compatible_surjections(eq)
                 if fails_in(cs, eq)}
         got = {key(cs) for cs in
@@ -190,27 +204,27 @@ def test_partition_diagrams_wellformed():
     count = 0
     for pd in itertools.islice(enumerate_partition_diagrams(eq), 300):
         count += 1
-        # covers inside one block
-        for a, b in pd.chain.covers:
-            assert a // pd.slots == b // pd.slots
-        # blocks preserved in both directions
-        for name in pd.fns:
-            fwd, bwd = {}, {}
-            for a, b in pd.fns[name].pairs:
-                assert fwd.setdefault(a // pd.slots, b // pd.slots) \
-                    == b // pd.slots
-                assert bwd.setdefault(b // pd.slots, a // pd.slots) \
-                    == a // pd.slots
+        b, d, values = grid_key(pd, pts)
+        flat = dict(zip(pts, values))
+        fns, covers = induced(pts, flat)
+        # the block-level shadows are partial injections
+        for per in pd.blocks.values():
+            images = [k for k, _ in per.values()]
+            assert len(images) == len(set(images))
+        # the blocks are the flat functions cut at block boundaries
+        assert flat_fns(pd) == fns
         # projections onto: every block and slot carries an image point
         image = [pd.phi[p] for p in pts]
-        assert {v[0] for v in image} == set(range(pd.blocks))
-        assert {v[1] for v in image} == set(range(pd.slots))
+        assert {v[0] for v in image} == set(range(b))
+        assert {v[1] for v in image} == set(range(d))
         # slot chain is the projection of the flat covers
-        assert pd.slot_chain().covers == frozenset(
-            (a % pd.slots, b % pd.slots) for a, b in pd.chain.covers)
+        assert pd.chain.covers == frozenset(
+            (a % d, c % d) for a, c in covers)
+        # the embedding problem lists every block's slot function
+        assert pd.fns == [g for per in pd.blocks.values()
+                          for _, (_, g) in sorted(per.items())]
         # the whole assignment rechecks from scratch
-        flat = {p: pd.flat(pd.phi[p]) for p in pts}
-        assert oracle_ok(pts, flat, slots=pd.slots)
+        assert oracle_ok(pts, flat, slots=d)
     assert count > 0
 
 
@@ -219,14 +233,15 @@ def test_partition_bracket_blocks_alternate():
     # injection: an l-bracket pair x -> y has gtilde(block(y)) == block(x),
     # and so does an r-bracket pair.
     eq = conjunct("1 <= x^l")
+    pts = sorted_points(eq)
     seen = 0
     for pd in itertools.islice(enumerate_partition_diagrams(eq), 300):
-        for name in pd.fns:
-            gt = pd.gtilde(name)
+        _, d, values = grid_key(pd, pts)
+        fns, covers = induced(pts, dict(zip(pts, values)))
+        for name, per in pd.blocks.items():
             for m in (1, -1):
-                for x, y in iter_bracket(dict(pd.fns[name].pairs),
-                                         pd.chain.covers, m).items():
-                    assert gt[y // pd.slots] == x // pd.slots
+                for x, y in iter_bracket(fns[name], covers, m).items():
+                    assert per[y // d][0] == x // d
                     seen += 1
     assert seen > 0
 
@@ -238,11 +253,9 @@ def test_failing_partition_diagrams_for_one_leq_x():
     assert all(fails_in(pd, eq) for pd in failing)
     # and they are exactly the failing members of the full stream
     pts = sorted_points(eq)
-    def key(pd):
-        return (pd.blocks, pd.slots, tuple(pd.flat(pd.phi[p]) for p in pts))
-    want = {key(pd) for pd in enumerate_partition_diagrams(eq)
+    want = {grid_key(pd, pts) for pd in enumerate_partition_diagrams(eq)
             if fails_in(pd, eq)}
-    assert {key(pd) for pd in failing} == want
+    assert {grid_key(pd, pts) for pd in failing} == want
 
 
 def test_xl_xr_failing_diagram_periodic_at_2_not_1():
@@ -258,13 +271,13 @@ def test_xl_xr_failing_diagram_periodic_at_2_not_1():
     assert failing
     found2 = False
     for pd in failing:
-        chain, fns = pd.slot_chain(), pd.local_fns()
+        d = pd.chain.size
         e2 = spacing.find_witness_embedding(
-            chain, fns, 2, cap=spacing.nu(pd.slots, 2))
+            pd.chain, pd.fns, 2, cap=spacing.nu(d, 2))
         if e2 is not None:
             found2 = True
         e1 = spacing.find_witness_embedding(
-            chain, fns, 1, cap=spacing.nu(pd.slots, 1))
+            pd.chain, pd.fns, 1, cap=spacing.nu(d, 1))
         assert e1 is None
     assert found2
 
