@@ -10,9 +10,11 @@ Four subcommands:
 Exit codes follow the verdicts: 0 valid (or verified, or oracle came up
 empty), 1 fails (or witness found), 2 budget exhausted, 3 for any parse
 or configuration problem, 4 for an internal error (its traceback goes to
-stderr; no verdict is reported).  decide defaults to capped mode, which
-never claims validity unless the candidate stream was provably exhausted;
-pass --complete for a proof-strength run.
+stderr; no verdict is reported).  Input errors are caught where the
+input is read; an error raised anywhere else is internal.  A reader that
+closes stdout early does not change the exit code.  decide defaults to
+capped mode, which says unknown when a node budget runs out first;
+--complete drops the budgets.  In both modes valid and fails are proofs.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import os
 import sys
 import traceback
+from contextlib import contextmanager
 from typing import Optional
 
 from . import decide, oracle, term
@@ -39,6 +42,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@contextmanager
+def _reading_input():
+    """Report a bad input read inside the block as a usage error."""
+    try:
+        yield
+    except (ValueError, OSError, KeyError) as e:
+        raise _UsageError(str(e)) from e
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="lpregroup",
                 description="decision procedures and counterexample "
@@ -48,11 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("decide", help="decide an equation")
     d.add_argument("equation")
     d.add_argument("--theory", required=True, choices=("dlp", "lpn", "fnz"))
-    d.add_argument("--n", type=int,
+    d.add_argument("--n", type=_int_at_least(1),
                    help="period (required for lpn and fnz)")
     d.add_argument("--complete", action="store_true",
-                   help="exhaust the search space; both answers are proofs")
-    d.add_argument("--budget", type=int,
+                   help="drop the node budgets (--budget still bounds "
+                        "the enumeration)")
+    d.add_argument("--budget", type=_int_at_least(0),
                    help="search node budget (default: capped-mode preset)")
     d.add_argument("--force", action="store_true",
                    help="dlp only: allow a complete run past the "
@@ -73,8 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="brute-force counterexample search")
     o.add_argument("equation")
     o.add_argument("--theory", required=True, choices=("fnz", "lex"))
-    o.add_argument("--n", type=int, required=True)
-    o.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
+    o.add_argument("--n", type=_int_at_least(1), required=True)
+    o.add_argument("--budget", type=_int_at_least(0),
+                   default=oracle.DEFAULT_BUDGET,
                    help="assignments to try")
     o.add_argument("--seed", type=int,
                    help="RNG seed (default: LPG_SEED or 0)")
@@ -82,28 +107,38 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _emit(text: str) -> None:
+    """Write text to stdout.  If the reader has closed the pipe (`| head`),
+    the rest of the output, the flush at exit included, goes to the null
+    device, and the command's exit code stands."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _print_json(data) -> None:
-    print(json.dumps(data, indent=2))
+    _emit(json.dumps(data, indent=2) + "\n")
 
 
 def _cmd_decide(args) -> int:
     if args.complete and (args.theory == "dlp" or (args.n or 0) > 3):
-        print("warning: complete mode proves every refutation up to the "
-              "re-spacing bound; wall-clock time grows steeply with the "
-              "period", file=sys.stderr)
+        print("warning: complete mode runs every search without a budget; "
+              "wall-clock time grows steeply with the period",
+              file=sys.stderr)
     if args.theory == "dlp":
         if args.n is not None:
             raise _UsageError("--theory dlp computes its own period; "
                               "use --theory lpn --n N to decide at another")
-        verdict = decide.decide_dlp(
-            args.equation, complete=args.complete, budget=args.budget,
-            force=args.force)
-    else:
-        if args.n is None:
-            raise _UsageError(f"--theory {args.theory} requires --n")
-        proc = decide.decide_fnz if args.theory == "fnz" else decide.decide_lpn
-        verdict = proc(args.equation, args.n, complete=args.complete,
-                       budget=args.budget)
+    elif args.n is None:
+        raise _UsageError(f"--theory {args.theory} requires --n")
+    with _reading_input():
+        eq = term.parse(args.equation)
+        n = (decide.dlp_period(eq, args.complete, args.force)
+             if args.theory == "dlp" else args.n)
+    proc = decide.decide_fnz if args.theory == "fnz" else decide.decide_lpn
+    verdict = proc(eq, n, complete=args.complete, budget=args.budget)
     _print_json({
         "theory": args.theory,
         "n": verdict.n,
@@ -117,16 +152,18 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.witness) as fh:
-        data = json.load(fh)
-    if isinstance(data, dict) and isinstance(data.get("witness"), dict):
-        data = data["witness"]
-    w = decide.witness_from_json(data)
-    try:
-        ok = decide.verify_witness(args.equation, w)
-        reason = None if ok else "some joinand is not below the point"
-    except KeyError as e:
-        ok, reason = False, f"malformed witness: {e}"
+    with _reading_input():
+        eq = term.parse(args.equation)
+        with open(args.witness) as fh:
+            data = json.load(fh)
+        if isinstance(data, dict) and isinstance(data.get("witness"), dict):
+            data = data["witness"]
+        w = decide.witness_from_json(data)
+        try:
+            ok = decide.verify_witness(eq, w)
+            reason = None if ok else "some joinand is not below the point"
+        except KeyError as e:
+            ok, reason = False, f"malformed witness: {e}"
     out = {"equation": args.equation, "verified": ok}
     if reason:
         out["reason"] = reason
@@ -135,19 +172,21 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    eq = term.parse(args.equation)
-    for conj in term.to_intensional(eq):
-        print(conj)
+    with _reading_input():
+        eq = term.parse(args.equation)
+    _emit("".join(f"{conj}\n" for conj in term.to_intensional(eq)))
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("LPG_SEED", "0"))
+    with _reading_input():
+        eq = term.parse(args.equation)
+        seed = args.seed
+        if seed is None:
+            seed = int(os.environ.get("LPG_SEED", "0"))
     search = (oracle.search_counterexample_fnz if args.theory == "fnz"
               else oracle.search_counterexample_lex)
-    w = search(args.equation, args.n, budget=args.budget, seed=seed)
+    w = search(eq, args.n, budget=args.budget, seed=seed)
     _print_json({
         "theory": args.theory,
         "n": args.n,
@@ -169,11 +208,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)
-    except (ValueError, OSError, KeyError) as e:
-        # covers equation parse errors, bad periods, the dlp practicality
-        # refusal, unreadable or malformed witness files
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except Exception:
         traceback.print_exc()
         return 4

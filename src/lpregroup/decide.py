@@ -14,18 +14,21 @@ Three entry points, one per theory:
   so a fails verdict from decide_lpn at any n refutes the equation in
   DLP too; a valid one says something about DLP only at that period.
 
-A verdict is "valid" only when the failure search space was provably
-exhausted: either complete mode, where every embedding refutation is run
-up to the re-spacing bound nu and is therefore a proof, or a capped run
-whose candidate stream finished with nothing in it.  A "fails" verdict
-always carries a witness that has been re-verified by direct evaluation
-in the function algebra; "unknown-budget-exhausted" means a node budget
-or practical cap stopped the search first.
+Every embedding search runs up to the re-spacing bound
+(spacing.complete_cap), so each refuted candidate is refuted for good.
+A verdict is "valid" exactly when the candidate stream was exhausted and
+every embedding attempt was refuted: the failure search space is then
+provably empty.  A "fails" verdict always carries a witness that has
+been re-verified by direct evaluation in the function algebra;
+"unknown-budget-exhausted" means a budget stopped the search first, and
+stats["stopped_by"] says which: "enumeration" for the candidate
+enumeration's node budget, "embedding" for an embedding attempt's.
 
 Capped mode is the default.  It bounds both the number of search nodes
-spent enumerating candidates and the effort per embedding attempt, so it
-terminates quickly, finds the witnesses that exist at small scale, and
-never overclaims.
+spent enumerating candidates and the nodes of each embedding attempt, so
+it terminates quickly and finds the witnesses that exist at small scale.
+Complete mode is the same search with no budgets.  Both modes read a
+verdict the same way.
 
 Conjuncts are searched in order, and a conjunct that is a renaming of
 an earlier one (term.conjunct_key) is skipped.  Its variables are
@@ -298,8 +301,6 @@ def _decide(eq: Union[Equation, str], n: int, complete: bool,
                 try:
                     emb = spacing.find_witness_embedding(
                         cand.chain, cand.fns, n,
-                        cap=spacing.complete_cap(cand.chain.size, n)
-                        if complete else None,
                         node_budget=None if complete else EMBED_NODE_BUDGET)
                 except BudgetExceeded:
                     stats["attempts_capped"] += 1
@@ -316,21 +317,25 @@ def _decide(eq: Union[Equation, str], n: int, complete: bool,
                         "witness failed independent re-verification")
                 return finish(FAILS, w)
     except BudgetExceeded:  # the enumeration's node budget ran out
+        stats["stopped_by"] = "enumeration"
         return finish(UNKNOWN)
 
-    if complete or stats["failing_candidates"] == 0:
-        return finish(VALID)
-    return finish(UNKNOWN)
+    # each candidate refuted up to the proof bound, unless an attempt gave up
+    if stats["attempts_capped"]:
+        stats["stopped_by"] = "embedding"
+        return finish(UNKNOWN)
+    return finish(VALID)
 
 
 def decide_fnz(eq: Union[Equation, str], n: int, complete: bool = False,
                budget: Optional[int] = None) -> Verdict:
     """Decide validity of an equation over the n-periodic functions on Z.
 
-    Complete mode exhausts the failing-candidate stream and runs every
-    embedding refutation up to the re-spacing bound, so both answers are
-    proofs.  Capped mode (the default) stops at a node budget and only
-    claims validity when no failing candidate exists at all."""
+    Every failing candidate gets an embedding search up to the
+    re-spacing bound, so valid and fails are both proofs.  Capped mode
+    (the default) bounds the enumeration's nodes and each embedding
+    attempt's; when a budget runs out first the verdict is unknown.
+    Complete mode drops both budgets."""
     return _decide(eq, n, complete, budget,
                    enumerate_compatible_surjections, realize_fnz_witness)
 
@@ -342,7 +347,7 @@ def decide_lpn(eq: Union[Equation, str], n: int, complete: bool = False,
     Candidates are block-grid diagrams; one spacing embedding of the
     shared slot chain must make every block's local function n-periodic
     at once, and a found witness lives on the chain Q x Z with blocks at
-    the integer rationals.  Completeness discipline is as in decide_fnz."""
+    the integer rationals.  Modes and verdicts are as in decide_fnz."""
     return _decide(eq, n, complete, budget,
                    enumerate_partition_diagrams, realize_lex_witness)
 
@@ -360,10 +365,19 @@ def decide_dlp(eq: Union[Equation, str], complete: bool = False,
     about DLP.  A fails verdict from decide_lpn at any period also
     refutes the equation in DLP, because LP_n is contained in DLP."""
     eqobj = term.parse(eq) if isinstance(eq, str) else eq
-    s = term.equation_size(eqobj)
+    return decide_lpn(eqobj, dlp_period(eqobj, complete, force),
+                      complete=complete, budget=budget)
+
+
+def dlp_period(eq: Equation, complete: bool = False,
+               force: bool = False) -> int:
+    """The period n = 2^s * s^4 that decide_dlp decides eq at.  Raises
+    ValueError for a complete run above the practicality threshold
+    unless force is set."""
+    s = term.equation_size(eq)
     n = (1 << s) * s ** 4
     if complete and n > DLP_PRACTICAL_MAX and not force:
         raise ValueError(
             f"complete decision at the reduced period n={n} is impractical "
             f"on this machine; pass force=True")
-    return decide_lpn(eqobj, n, complete=complete, budget=budget)
+    return n

@@ -183,8 +183,8 @@ def find_witness_embedding(chain: CChain,
     map), with height at most cap.
 
     Returns the embedding with the lexicographically smallest gap vector,
-    or None if there is none up to the cap.  The default cap is a small
-    practical one; passing cap=nu(chain.size, n) makes None a proof that no
+    or None if there is none up to the cap.  The default cap is the proof
+    bound complete_cap(chain.size, n), so None then proves that no
     embedding exists at all, since a witness of any height can be re-spaced
     below that bound.  Raises BudgetExceeded after node_budget assignments.
 
@@ -197,10 +197,9 @@ def find_witness_embedding(chain: CChain,
         fns = list(fns.values())
     else:
         fns = list(fns)
-    q = chain.size
     if cap is None:
-        cap = (q + 1) * n + q
-    ngaps = q - 1
+        cap = complete_cap(chain.size, n)
+    ngaps = chain.size - 1
     if ngaps == 0:
         return SpacingEmbedding(chain, (0,))
 

@@ -1,6 +1,7 @@
 """CLI surface: envelopes, exit codes, and the verify roundtrip."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -157,11 +158,14 @@ def test_config_errors_exit_three(capsys, argv):
     assert err
 
 
-def test_internal_error_exits_four(capsys, monkeypatch):
+@pytest.mark.parametrize("error", [RuntimeError, KeyError, ValueError])
+def test_internal_error_exits_four(capsys, monkeypatch, error):
+    # input errors are caught where the input is read; the same exception
+    # types raised from inside the search are internal
     from lpregroup import decide
 
     def broken(*args, **kwargs):
-        raise RuntimeError("simulated internal error")
+        raise error("simulated internal error")
 
     monkeypatch.setattr(decide, "decide_fnz", broken)
     code, out, err = run(capsys, "decide", "--theory", "fnz", "--n", "1",
@@ -231,3 +235,19 @@ def test_module_entrypoint_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["verdict"] == "fails"
+
+
+def test_closed_stdout_keeps_the_verdict_exit_code():
+    # the reader is gone before anything is written, as after `| head`
+    # has read its lines; the decided fails must still exit 1, silently
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lpregroup.cli", "decide", "--theory",
+             "fnz", "--n", "1", "1 <= x"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

@@ -16,9 +16,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpregroup import decide, fnz, lexfn, oracle, term
+from lpregroup import decide, fnz, lexfn, oracle, spacing, term
 from lpregroup.decide import (FAILS, UNKNOWN, VALID, Verdict, Witness,
                               verify_witness, witness_from_json)
+from lpregroup.diagram import BudgetExceeded
 
 from test_term import renaming
 
@@ -34,6 +35,15 @@ def assert_stats_contract(v: Verdict, eq: str):
     assert 0 <= s["embed_s"] <= s["time_s"]
     # a skipped conjunct renames an earlier one, so never the first
     assert 0 <= s["renamed_conjuncts"] < max(len(term.conjuncts(eq)), 1)
+    # valid needs every attempt refuted; an unknown names the budget
+    # that stopped it, and a decided run names none
+    if v.status == VALID:
+        assert s["attempts_capped"] == 0
+    if v.status == UNKNOWN:
+        assert s["stopped_by"] in ("enumeration", "embedding")
+        assert s["stopped_by"] == "enumeration" or s["attempts_capped"] > 0
+    else:
+        assert "stopped_by" not in s
 
 
 # ------------------------------------------------------------ valid corpus
@@ -218,6 +228,8 @@ def test_budget_exhaustion_reports_unknown():
     assert v.status == UNKNOWN
     assert v.exit_code == 2
     assert v.stats["nodes"] <= 501
+    assert v.stats["stopped_by"] == "enumeration"
+    assert_stats_contract(v, "x^l = x^r")
 
 
 def test_capped_run_with_large_point_set_returns_quickly():
@@ -299,11 +311,48 @@ def test_capped_dlp_realizes_a_long_period_in_bounded_memory():
     assert int(rss_kb) < 400 * 1024
 
 
-def test_capped_never_claims_valid_with_candidates_pending():
-    # capped mode refutes these candidates only up to a practical height,
-    # which is not a proof
+def test_capped_proves_valid_when_every_candidate_is_refuted():
+    # each embedding search runs up to the re-spacing bound, so refuting
+    # all 18 candidates is a proof in capped mode as in complete mode;
+    # the equation holds at n=1, where x^(1) = x^(-1)
+    v = decide.decide_fnz("1 <= x^l x", 1)
+    assert v.status == VALID
+    assert v.mode == "capped"
+    assert v.stats["embeddings_refuted"] == 18
+    assert v.stats["failing_candidates"] == 18
+    assert_stats_contract(v, "1 <= x^l x")
+
+
+def test_capped_embedding_attempt_out_of_budget_is_unknown(monkeypatch):
+    # a candidate whose embedding search gave up is not refuted, so the
+    # exhausted stream proves nothing
+    def gives_up(*args, **kwargs):
+        raise BudgetExceeded("simulated embedding budget")
+
+    monkeypatch.setattr(spacing, "find_witness_embedding", gives_up)
     v = decide.decide_fnz("1 <= x^l x", 1)
     assert v.status == UNKNOWN
+    assert v.stats["attempts_capped"] == 18
+    assert v.stats["stopped_by"] == "embedding"
+    assert_stats_contract(v, "1 <= x^l x")
+
+
+@pytest.mark.parametrize("theory,eq", [
+    ("fnz", "x^l <= x^r"),
+    ("fnz", "1^l = (x^r x)"),
+    ("fnz", "x^l <= (1 x^r)"),
+    ("lpn", "(x^l)^l <= x"),
+    ("lpn", "x^l <= x^r"),
+])
+def test_capped_valid_agrees_with_complete(theory, eq):
+    # draws of the random benchmark that capped mode proves at n=1 by
+    # refuting every candidate up to the re-spacing bound
+    proc = decide.decide_fnz if theory == "fnz" else decide.decide_lpn
+    v = proc(eq, 1, budget=20_000)
+    assert v.status == VALID
+    assert v.stats["failing_candidates"] > 0
+    assert_stats_contract(v, eq)
+    assert proc(eq, 1, complete=True).status == VALID
 
 
 def test_monotone_valid_in_variety_implies_valid_on_integers():
