@@ -135,7 +135,8 @@ def witness_from_json(data: dict) -> Witness:
             point=_point_from_json(space, data["point"]),
             conjunct=lexfn.int_from_json(data.get("conjunct", 0)),
             checked=tuple((c["word"], _point_from_json(space, c["value"]))
-                          for c in data.get("checked", ())),
+                          for c in lexfn.list_from_json(
+                              data.get("checked", []))),
         )
     except (KeyError, TypeError, AttributeError, ZeroDivisionError) as e:
         raise ValueError(f"malformed witness: {e!r}") from e

@@ -107,10 +107,11 @@ class PLBijection:
 
     @classmethod
     def from_json(cls, data: dict) -> "PLBijection":
-        xs = [rational_from_json(s) for s in data["breakpoints"]]
+        xs = [rational_from_json(s)
+              for s in list_from_json(data["breakpoints"])]
         pieces = [(rational_from_json(p["slope"]),
                    rational_from_json(p["intercept"]))
-                  for p in data["pieces"]]
+                  for p in list_from_json(data["pieces"])]
         if len(pieces) != len(xs) + 1:
             raise ValueError("need one more piece than breakpoints")
         if pieces[0][0] != 1 or pieces[-1][0] != 1:
@@ -337,9 +338,18 @@ def rational_from_json(v) -> Fraction:
     return Fraction(v)
 
 
+def list_from_json(v) -> list:
+    """A JSON array as it stands: a string or an object, which would
+    iterate as characters or keys, is refused with ValueError."""
+    if type(v) is not list:
+        raise ValueError(f"expected an array, got {v!r}")
+    return v
+
+
 def fn_from_json(data: dict) -> PeriodicFn:
     return PeriodicFn(int_from_json(data["n"]),
-                      tuple(int_from_json(v) for v in data["vals"]))
+                      tuple(int_from_json(v)
+                            for v in list_from_json(data["vals"])))
 
 
 def to_json(f: LexFn) -> dict:
@@ -356,5 +366,5 @@ def from_json(data: dict) -> LexFn:
         int_from_json(data["n"]),
         PLBijection.from_json(data["tilde"]),
         tuple((rational_from_json(c["j"]), fn_from_json(c["fn"]))
-              for c in data["components"]),
+              for c in list_from_json(data["components"])),
     )

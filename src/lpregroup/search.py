@@ -121,12 +121,10 @@ def _point_table(eq: IntensionalEquation,
     otherwise the free inverse applications with the most already-placed
     sandwich partners.  Parents always precede children.
 
-    The table and the enumerator's per-point bounds grow with the point
-    set, so each point costs one node of budget, spent before any of
-    them is built."""
-    points = delta_epsilon(eq)
-    if budget is not None:
-        budget.spend(len(points))
+    The point set, the table and the enumerator's per-point bounds grow
+    with 2^|m|, so each point costs one node of budget, spent as the point
+    set is built: an exhausted budget stops the build itself."""
+    points = delta_epsilon(eq, None if budget is None else budget.spend)
     pts0 = sorted(points, key=lambda p: (len(p), p))
 
     def op_kind(p: Point) -> str:

@@ -9,16 +9,15 @@ re-spacing is height control: every chain admits a 1-periodicity-preserving
 embedding of height at most rho(size), and an n-periodicity-preserving one
 of height at most nu(size, n), so searches over embeddings can be cut off
 at these bounds without losing completeness (complete_cap).  The bounds
-module constructs such re-spacings; the deciders need only the search
-find_witness_embedding.
+module constructs such re-spacings with the same search at an explicit
+cap; the deciders need only the search find_witness_embedding.
 
-Both searches are over integer boxes of gap values and prune with one
+The search is over an integer box of gap values and prunes with one
 rule, tighten: narrow the box to the points that satisfy one linear
-inequality, given as a sparse row.  The embedding search feeds it the
-height cap, both sides of every ceil constraint, each constraint's
-cancelled row and, at n = 1, the rows that integer elimination leaves of
-the translation equalities (_translation_closure); the bounds module's
-solver feeds it both signs of each equality row.  The cancelled rows
+inequality, given as a sparse row.  The search feeds it the height cap,
+both sides of every ceil constraint, each constraint's cancelled row
+and, at n = 1, the rows that integer elimination leaves of the
+translation equalities (_translation_closure).  The cancelled rows
 exist because propagating the two sides of a ceil constraint separately
 transfers their difference over shared gaps one pass at a time, far too
 slowly for completeness-scale caps; in the row Y - X the shared gaps

@@ -34,7 +34,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 # --------------------------------------------------------------------- AST
 
@@ -463,12 +463,13 @@ def point_str(p: Point) -> str:
     return " ".join(bits).replace("+ ", "+").replace("- ", "-")
 
 
-def _decorated_family(name: str, m: int, base: Point) -> set[Point]:
+def _decorated_family(name: str, m: int, base: Point) -> Iterator[Point]:
     """The decorated approach-words for one literal x^(m) acting on a base
     point: for every tail j..|m| of the exponent ladder and every choice of
     cover decorations (lower covers for m >= 0, upper for m < 0; never on
-    the outermost exponent 0)."""
-    out = {base}
+    the outermost exponent 0).  Generated lazily: there are about
+    3 * 2^|m| of them."""
+    yield base
     sign = 1 if m >= 0 else -1
     cov = -1 if m >= 0 else +1
     for j in range(abs(m) + 1):
@@ -481,25 +482,31 @@ def _decorated_family(name: str, m: int, base: Point) -> set[Point]:
                 if k in chosen:
                     ops.append(("cov", cov))
                 ops.append(("app", name, sign * k))
-            out.add(tuple(ops) + base)
-    return out
+            yield tuple(ops) + base
 
 
-def delta_epsilon(eq: IntensionalEquation) -> frozenset[Point]:
+def delta_epsilon(eq: IntensionalEquation,
+                  spend: Optional[Callable[[], object]] = None
+                  ) -> frozenset[Point]:
     """The finite set of decorated evaluation points attached to an
     intensional equation.  It contains the final subwords; for every literal
     step x^(m)v between final subwords it also contains the intermediate
     iterates x^(j)...x^(m)v with optional cover decorations, which is what
-    lets a surjection of this set pin down iterated inverses exactly."""
-    points: set[Point] = {()}
+    lets a surjection of this set pin down iterated inverses exactly.
+
+    The set doubles with each unit of |m|, so spend, when given, is called
+    once per new point before it is stored; a budget that raises there
+    stops the build one point past its limit."""
     fs = final_subwords(eq)
-    for w in fs:
-        points.add(point_of_word(w))
-    for w in fs:
-        if w:
-            (name, m), rest = w[0], w[1:]
-            if rest in fs:
-                points.update(_decorated_family(name, m, point_of_word(rest)))
+    families = (p for w in fs if w and w[1:] in fs
+                for p in _decorated_family(w[0][0], w[0][1],
+                                           point_of_word(w[1:])))
+    points: set[Point] = set()
+    for p in itertools.chain(map(point_of_word, fs), families):
+        if p not in points:
+            if spend is not None:
+                spend()
+            points.add(p)
     size = intensional_size(eq)
     if len(points) > 2 ** size * size ** 4:
         raise AssertionError(f"point set larger than promised: {len(points)}")

@@ -60,6 +60,22 @@ def test_verify_accepts_bare_witness_json(capsys, tmp_path):
     assert code == 0 and json.loads(out)["verified"] is True
 
 
+def test_verify_refuses_a_string_for_an_array(capsys, tmp_path):
+    # "0" iterates like ["0"], so this witness used to verify
+    code, out, _ = run(capsys, "decide", "--theory", "lpn", "--n", "1",
+                       "x y = y x")
+    assert code == 1
+    env = json.loads(out)
+    tilde = env["witness"]["assignment"]["y"]["tilde"]
+    assert tilde["breakpoints"] == ["0"]
+    tilde["breakpoints"] = "0"
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(env))
+    code, out, err = run(capsys, "verify", str(path), "x y = y x")
+    assert code == 3
+    assert out == "" and err
+
+
 def test_normalize_moves_terms_across(capsys):
     code, out, _ = run(capsys, "normalize", "x <= 1")
     assert code == 0

@@ -262,6 +262,37 @@ def test_capped_run_charges_the_point_table_first():
     assert int(rss_kb) < 400 * 1024
 
 
+_POINT_SET_RSS = """
+import resource, sys, time
+from lpregroup import decide
+limit = 512 * 1024 * 1024
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+t0 = time.perf_counter()
+v = decide.decide_fnz(sys.argv[1], int(sys.argv[2]), budget=1000)
+print(v.status, v.stats["stopped_by"], v.stats["nodes"],
+      time.perf_counter() - t0,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("eq, n", [("1 <= x^(16) x", 9),
+                                   ("1 <= x^(40) x", 1)])
+def test_capped_run_stops_inside_the_point_set(eq, n):
+    # the point set doubles with each unit of |m| (x^(40) would need
+    # about 3 * 2^40 points), so the budget is charged point by point
+    # while it is built and stops the build one point past the limit
+    src = os.path.dirname(os.path.dirname(decide.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _POINT_SET_RSS, eq, str(n)],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    status, stopped_by, nodes, wall_s, rss_kb = proc.stdout.split()
+    assert (status, stopped_by, nodes) == (UNKNOWN, "enumeration", "1001")
+    assert float(wall_s) < 5
+    assert int(rss_kb) < 100 * 1024
+
+
 _DLP_REALIZE = """
 import json
 from lpregroup import decide
@@ -437,6 +468,39 @@ def test_witness_json_roundtrip(proc, eq, n):
     w = witness_from_json(data["witness"])
     assert verify_witness(eq, w)
     assert w.point == v.witness.point
+
+
+# the list fields of a witness, as key paths into the FnQxZ witness of
+# lpn n=1 `x y = y x` (y's tilde has one breakpoint) or the FnZ one of
+# fnz n=2 `1 <= x`
+_LIST_FIELDS = [
+    ("FnQxZ", ("assignment", "y", "tilde", "breakpoints")),
+    ("FnQxZ", ("assignment", "y", "tilde", "pieces")),
+    ("FnQxZ", ("assignment", "x", "components")),
+    ("FnQxZ", ("assignment", "x", "components", 0, "fn", "vals")),
+    ("FnQxZ", ("checked",)),
+    ("FnZ", ("assignment", "x", "vals")),
+    ("FnZ", ("checked",)),
+]
+
+
+@pytest.mark.parametrize("space,path", _LIST_FIELDS,
+                         ids=[f"{s}-{p[-1]}" for s, p in _LIST_FIELDS])
+@pytest.mark.parametrize("bad", ["0", {"0": "0"}, {}],
+                         ids=["string", "object", "empty-object"])
+def test_witness_from_json_refuses_non_array_lists(space, path, bad):
+    # a string or an object iterates as characters or keys, so "0" in
+    # place of ["0"] used to load as the same breakpoints
+    v = (decide.decide_lpn("x y = y x", 1) if space == "FnQxZ"
+         else decide.decide_fnz("1 <= x", 2))
+    data = json.loads(json.dumps(v.to_json()))["witness"]
+    assert witness_from_json(data).space == space
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    with pytest.raises(ValueError):
+        witness_from_json(data)
 
 
 def test_verdict_json_shape():

@@ -1,5 +1,7 @@
-"""Every name a source module imports is used in that module, and no
-source module relies on a bare assert, which python -O strips."""
+"""Every name a source module imports is used in that module, no source
+module relies on a bare assert, which python -O strips, and the decision
+path imports none of the modules that only reproduce or cross-check the
+paper."""
 
 import ast
 import pathlib
@@ -51,3 +53,44 @@ def test_detects_bare_assert():
                          ids=lambda p: p.name)
 def test_no_bare_asserts(path):
     assert bare_asserts(path.read_text()) == []
+
+
+# the modules a decision runs through, and those kept off that path: the
+# re-spacing bounds, the wreath-product representation and the brute-force
+# oracle that the tests check the deciders against
+DECISION_PATH = ("term", "diagram", "search", "spacing", "fnz", "lexfn",
+                 "decide")
+OFF_PATH = {"bounds", "wreath", "oracle"}
+
+
+def package_imports(source: str) -> set[str]:
+    """The lpregroup modules a module imports, by their short names."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names
+                       if a.name.startswith("lpregroup."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and not module.startswith("lpregroup"):
+                continue
+            if node.level == 0:
+                module = module.partition(".")[2]
+            out.update((module.split(".")[0],) if module
+                       else (a.name for a in node.names))
+    return out
+
+
+def test_detects_package_imports():
+    assert package_imports(
+        "from . import fnz, oracle\nfrom .bounds import rho\n"
+        "import lpregroup.wreath\nfrom lpregroup import term\n"
+        "from lpregroup.search import NodeBudget\nimport math\n"
+        "from typing import Optional\n") == {
+            "fnz", "oracle", "bounds", "wreath", "term", "search"}
+
+
+@pytest.mark.parametrize("name", DECISION_PATH)
+def test_decision_path_stays_apart(name):
+    source = (SRC / f"{name}.py").read_text()
+    assert package_imports(source) & OFF_PATH == set()

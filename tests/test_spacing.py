@@ -1,5 +1,7 @@
-"""Tests for chain re-spacing: bounds, transfer properties, and the
-bounded nonnegative solver behind them."""
+"""Tests for chain re-spacing: the height bounds, the short re-spacings
+of the bounds module (pinned on literal chains and checked for transfer),
+box propagation, the witness embedding search against brute force, and
+the n = 1 translation closure against elimination over Fractions."""
 
 import itertools
 import math
@@ -11,24 +13,13 @@ from hypothesis import given, settings, strategies as st
 from lpregroup import fnz
 from lpregroup.diagram import CChain, PartialFn, SpacingEmbedding
 from lpregroup import spacing
-from lpregroup.bounds import (
-    LinearSystem, build_1transfer_system, find_short_1transfer,
-    find_short_ntransfer, solve_bounded_nonneg, transfers_periodicity,
-)
+from lpregroup.bounds import (find_short_1transfer, find_short_ntransfer,
+                              transfers_periodicity)
 from lpregroup.spacing import (BudgetExceeded, find_witness_embedding, nu,
                                rho, tighten)
 
 
 # --------------------------------------------------------------- oracles
-
-def oracle_solve(system: LinearSystem, box: int):
-    """First solution of the system in [0, box]^l, lexicographic order."""
-    for cand in itertools.product(range(box + 1), repeat=system.num_vars):
-        if all(sum(c * y for c, y in zip(coefs, cand)) == rhs
-               for coefs, rhs in zip(system.rows, system.rhs)):
-            return cand
-    return None
-
 
 def oracle_witness_gaps(chain, fns, n, cap):
     """First gap vector (lex order, entries >= 1, covers pinned to 1,
@@ -81,17 +72,6 @@ def periodic_fns_at(draw, n):
     return fnz.PeriodicFn(n, tuple(vals[:n]))
 
 
-@st.composite
-def small_systems(draw):
-    nvars = draw(st.integers(1, 4))
-    nrows = draw(st.integers(0, 4))
-    rows = tuple(
-        tuple(draw(st.integers(-1, 1)) for _ in range(nvars))
-        for _ in range(nrows))
-    rhs = tuple(draw(st.integers(-3, 3)) for _ in range(nrows))
-    return LinearSystem(rows, rhs, nvars)
-
-
 # ---------------------------------------------------------- frozen values
 
 def test_rho_values():
@@ -108,56 +88,63 @@ def test_nu_values():
 
 def test_1transfer_system_hand_example():
     # points 0,1,2,4,5,6; translating by 2 maps 0->2, 2->4, 4->6, which
-    # pins the middle gap deficit: y3 = y1 + y2 + 1
+    # forces the middle gap to be the two gaps before it plus 1
     e = SpacingEmbedding(CChain(6, frozenset()), (0, 1, 2, 4, 5, 6))
-    system = build_1transfer_system(e)
-    assert ((1, 1, -1, 0, 0), -1) in zip(system.rows, system.rhs)
     short = find_short_1transfer(e)
-    # y1 = y2 = 0 and y3 = 1 is forced, everything else can collapse
+    # gaps 1, 1 and 2 are forced, everything else can collapse
     assert short.positions == (0, 1, 2, 4, 5, 6)
 
 
 def test_1transfer_cover_rows():
     e = SpacingEmbedding(CChain(3, frozenset({(1, 2)})), (0, 5, 6))
-    system = build_1transfer_system(e)
-    assert ((0, 1), 0) in zip(system.rows, system.rhs)
     short = find_short_1transfer(e)
     assert short.positions == (0, 1, 2)
 
 
-# ---------------------------------------------------------------- solver
+# re-spacings pinned from the linear-system solver the embedding search
+# replaced: (positions, covers) -> positions
+SHORT_1TRANSFERS = [
+    ((0, 2, 6, 10, 15, 20), (), (0, 2, 3, 4, 6, 8)),
+    ((0, 5, 10, 11, 13), ((2, 3),), (0, 1, 2, 3, 4)),
+    ((0, 4, 5, 10), (), (0, 1, 2, 4)),
+    ((0, 1, 3, 8, 11), ((0, 1),), (0, 1, 2, 3, 5)),
+    ((0, 5, 7, 8, 9, 11), ((3, 4),), (0, 1, 3, 4, 5, 7)),
+    ((0, 3, 4, 6), (), (0, 2, 3, 4)),
+    ((0, 5, 6, 9, 10, 13), ((3, 4),), (0, 3, 4, 5, 6, 7)),
+    ((0, 4, 5, 7, 10), ((1, 2),), (0, 2, 3, 4, 6)),
+    ((0, 1, 3, 5, 10, 14), (), (0, 1, 2, 3, 6, 8)),
+    ((0, 1, 5, 7, 8, 13), (), (0, 1, 2, 4, 5, 7)),
+    ((0, 4, 7, 8, 9), ((2, 3), (3, 4)), (0, 2, 3, 4, 5)),
+    ((0, 4, 8, 13, 16, 17), (), (0, 2, 4, 7, 8, 9)),
+    ((0, 3, 8, 13, 14, 18), ((3, 4),), (0, 1, 3, 5, 6, 7)),
+    ((0, 4, 7, 8, 10), ((2, 3),), (0, 3, 5, 6, 7)),
+    ((0, 5, 6, 10, 11, 12), ((1, 2), (3, 4)), (0, 2, 3, 4, 5, 6)),
+    ((0, 1, 2, 3, 8, 9), ((0, 1), (1, 2), (4, 5)), (0, 1, 2, 3, 4, 5)),
+]
 
-def test_solver_simple():
-    # y0 - y1 = 2 with y1 = 0
-    system = LinearSystem(((1, -1), (0, 1)), (2, 0), 2)
-    assert solve_bounded_nonneg(system) == (2, 0)
+
+@pytest.mark.parametrize("positions, covers, expect", SHORT_1TRANSFERS)
+def test_1transfer_pinned(positions, covers, expect):
+    e = SpacingEmbedding(CChain(len(positions), frozenset(covers)),
+                         positions)
+    assert find_short_1transfer(e).positions == expect
 
 
-def test_solver_inconsistent():
-    system = LinearSystem(((1, 0), (1, 0)), (1, 2), 2)
-    assert solve_bounded_nonneg(system) is None
+# (positions, covers, n) -> positions, pinned the same way
+SHORT_NTRANSFERS = [
+    ((0, 20, 40), (), 2, (0, 6, 12)),
+    ((0, 30), (), 4, (0, 14)),
+    ((0, 7, 30, 31), ((2, 3),), 3, (0, 7, 15, 16)),
+    ((0, 9, 25), (), 2, (0, 9, 25)),
+    ((0, 1, 12, 40), ((0, 1),), 3, (0, 1, 12, 22)),
+]
 
 
-def test_solver_no_nonneg_solution():
-    system = LinearSystem(((1, 1),), (-1,), 2)
-    assert solve_bounded_nonneg(system) is None
-
-
-@settings(max_examples=200, deadline=None)
-@given(small_systems())
-def test_solver_vs_oracle(system):
-    got = solve_bounded_nonneg(system)
-    expect = oracle_solve(system, box=6)
-    if got is not None:
-        assert all(sum(c * y for c, y in zip(coefs, got)) == rhs
-                   for coefs, rhs in zip(system.rows, system.rhs))
-    if expect is not None:
-        # a solution exists in a small box, so the solver must find the
-        # lexicographically smallest one overall
-        assert got is not None
-        assert got <= expect
-    if got is not None and max(got, default=0) <= 6:
-        assert expect == got
+@pytest.mark.parametrize("positions, covers, n, expect", SHORT_NTRANSFERS)
+def test_ntransfer_pinned(positions, covers, n, expect):
+    e = SpacingEmbedding(CChain(len(positions), frozenset(covers)),
+                         positions)
+    assert find_short_ntransfer(e, n).positions == expect
 
 
 # ------------------------------------------------------ box propagation
