@@ -13,8 +13,9 @@ or configuration problem, 4 for an internal error (its traceback goes to
 stderr; no verdict is reported).  Input errors are caught where the
 input is read; an error raised anywhere else is internal.  A reader that
 closes stdout early does not change the exit code.  decide defaults to
-capped mode, which says unknown when a node budget runs out first;
---complete drops the budgets.  In both modes valid and fails are proofs.
+capped mode, which says unknown when its node budget runs out first;
+--complete drops the budget (--budget still bounds the whole search).
+In both modes valid and fails are proofs.
 """
 
 from __future__ import annotations
@@ -74,10 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--n", type=_int_at_least(1),
                    help="period (required for lpn and fnz)")
     d.add_argument("--complete", action="store_true",
-                   help="drop the node budgets (--budget still bounds "
-                        "the enumeration)")
+                   help="drop the node budget (--budget still bounds "
+                        "the whole search)")
     d.add_argument("--budget", type=_int_at_least(0),
-                   help="search node budget (default: capped-mode preset)")
+                   help="node budget of the whole search: point table, "
+                        "enumeration and embedding searches (default: "
+                        "capped-mode preset)")
     d.add_argument("--force", action="store_true",
                    help="dlp only: allow a complete run past the "
                         "practicality threshold")

@@ -20,15 +20,15 @@ A verdict is "valid" exactly when the candidate stream was exhausted and
 every embedding attempt was refuted: the failure search space is then
 provably empty.  A "fails" verdict always carries a witness that has
 been re-verified by direct evaluation in the function algebra;
-"unknown-budget-exhausted" means a budget stopped the search first, and
-stats["stopped_by"] says which: "enumeration" for the candidate
-enumeration's node budget, "embedding" for an embedding attempt's.
+"unknown-budget-exhausted" means the node budget ran out first, and
+stats["stopped_by"] says where: "embedding" inside an embedding search,
+"enumeration" anywhere else (the point table or the enumeration).
 
-Capped mode is the default.  It bounds both the number of search nodes
-spent enumerating candidates and the nodes of each embedding attempt, so
-it terminates quickly and finds the witnesses that exist at small scale.
-Complete mode is the same search with no budgets.  Both modes read a
-verdict the same way.
+One NodeBudget bounds a whole decision: the point table, the candidate
+enumeration and every embedding search spend from it.  Capped mode, the
+default, sets it to DEFAULT_NODE_BUDGET and complete mode to none; an
+explicit budget bounds the whole search in either mode.  Both modes
+read a verdict the same way.
 
 Conjuncts are searched in order, and a conjunct that is a renaming of
 an earlier one (term.conjunct_key) is skipped.  Its variables are
@@ -48,10 +48,10 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import fnz, lexfn, spacing, term
-from .diagram import BudgetExceeded, PartialFn, SpacingEmbedding
+from .diagram import BudgetExceeded, NodeBudget, PartialFn, SpacingEmbedding
 from .fnz import PeriodicFn
 from .lexfn import LexFn, PLBijection
-from .search import (CompatibleSurjection, NodeBudget, PartitionDiagram,
+from .search import (CompatibleSurjection, PartitionDiagram,
                      enumerate_compatible_surjections,
                      enumerate_partition_diagrams)
 from .term import Equation, IntensionalEquation, point_of_word, word_str
@@ -60,11 +60,8 @@ VALID = "valid"
 FAILS = "fails"
 UNKNOWN = "unknown-budget-exhausted"
 
-# capped-mode defaults: nodes across the whole candidate enumeration, and
-# assignment nodes per embedding attempt (refutations are mostly decided
-# by interval propagation, so the latter is rarely reached)
+# capped-mode default: nodes across the whole decision
 DEFAULT_NODE_BUDGET = 2_000_000
-EMBED_NODE_BUDGET = 20_000
 
 # largest reduced period decide_dlp will run to completion without force;
 # witness realization materializes one period of each function
@@ -278,12 +275,12 @@ def _decide(eq: Union[Equation, str], n: int, complete: bool,
         budget = None if complete else DEFAULT_NODE_BUDGET
     nb = NodeBudget(budget)
     stats = {"failing_candidates": 0, "embeddings_refuted": 0,
-             "attempts_capped": 0, "renamed_conjuncts": 0, "embed_s": 0.0}
+             "renamed_conjuncts": 0, "embed_nodes": 0, "embed_s": 0.0}
     decided = set()  # conjunct_key of every conjunct searched so far
     t0 = time.perf_counter()
 
     def finish(status, witness=None):
-        stats["nodes"] = nb.used
+        stats["nodes"] = nb.used - stats["embed_nodes"]
         stats["time_s"] = round(time.perf_counter() - t0, 3)
         stats["embed_s"] = round(stats["embed_s"], 3)
         return Verdict(status, n, mode, witness, stats)
@@ -298,15 +295,15 @@ def _decide(eq: Union[Equation, str], n: int, complete: bool,
             for cand in enumerate_failing(conj, require_failure=True,
                                           budget=nb):
                 stats["failing_candidates"] += 1
-                t_embed = time.perf_counter()
+                used, t_embed = nb.used, time.perf_counter()
                 try:
                     emb = spacing.find_witness_embedding(
-                        cand.chain, cand.fns, n,
-                        node_budget=None if complete else EMBED_NODE_BUDGET)
+                        cand.chain, cand.fns, n, node_budget=nb)
                 except BudgetExceeded:
-                    stats["attempts_capped"] += 1
-                    continue
+                    stats["stopped_by"] = "embedding"
+                    raise
                 finally:
+                    stats["embed_nodes"] += nb.used - used
                     stats["embed_s"] += time.perf_counter() - t_embed
                 if emb is None:
                     stats["embeddings_refuted"] += 1
@@ -317,15 +314,10 @@ def _decide(eq: Union[Equation, str], n: int, complete: bool,
                     raise AssertionError(
                         "witness failed independent re-verification")
                 return finish(FAILS, w)
-    except BudgetExceeded:  # the enumeration's node budget ran out
-        stats["stopped_by"] = "enumeration"
+    except BudgetExceeded:
+        stats.setdefault("stopped_by", "enumeration")
         return finish(UNKNOWN)
-
-    # each candidate refuted up to the proof bound, unless an attempt gave up
-    if stats["attempts_capped"]:
-        stats["stopped_by"] = "embedding"
-        return finish(UNKNOWN)
-    return finish(VALID)
+    return finish(VALID)  # each candidate refuted up to the proof bound
 
 
 def decide_fnz(eq: Union[Equation, str], n: int, complete: bool = False,
@@ -333,10 +325,11 @@ def decide_fnz(eq: Union[Equation, str], n: int, complete: bool = False,
     """Decide validity of an equation over the n-periodic functions on Z.
 
     Every failing candidate gets an embedding search up to the
-    re-spacing bound, so valid and fails are both proofs.  Capped mode
-    (the default) bounds the enumeration's nodes and each embedding
-    attempt's; when a budget runs out first the verdict is unknown.
-    Complete mode drops both budgets."""
+    re-spacing bound, so valid and fails are both proofs.  One node
+    budget bounds the whole search: the point table, the enumeration and
+    every embedding search.  When it runs out first the verdict is
+    unknown.  Capped mode (the default) sets it to DEFAULT_NODE_BUDGET
+    and complete mode to none; an explicit budget applies in either."""
     return _decide(eq, n, complete, budget,
                    enumerate_compatible_surjections, realize_fnz_witness)
 

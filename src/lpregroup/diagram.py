@@ -26,11 +26,28 @@ during diagram search sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 
 class BudgetExceeded(RuntimeError):
     """Raised when a search exhausts its node budget before finishing."""
+
+
+class NodeBudget:
+    """Shared countdown of search-tree nodes: one per decision, spent by
+    the point table, the candidate enumeration and every embedding
+    search.  spend() raises BudgetExceeded once the limit is passed; a
+    limit of None never runs out but still counts, so callers can report
+    work done."""
+
+    def __init__(self, limit: Optional[int] = None):
+        self.limit = limit
+        self.used = 0
+
+    def spend(self, k: int = 1):
+        self.used += k
+        if self.limit is not None and self.used > self.limit:
+            raise BudgetExceeded(f"node budget {self.limit} exhausted")
 
 
 @dataclass(frozen=True)

@@ -45,23 +45,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .diagram import BudgetExceeded, CChain, PartialFn, iter_bracket
+from .diagram import CChain, NodeBudget, PartialFn, iter_bracket
 from .term import IntensionalEquation, Point, delta_epsilon, point_of_word
-
-
-class NodeBudget:
-    """Shared countdown of search-tree nodes.  spend() raises
-    BudgetExceeded once the limit is passed; a limit of None never runs
-    out but still counts, so callers can report work done."""
-
-    def __init__(self, limit: Optional[int] = None):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self, k: int = 1):
-        self.used += k
-        if self.limit is not None and self.used > self.limit:
-            raise BudgetExceeded(f"node budget {self.limit} exhausted")
 
 
 @dataclass
@@ -280,6 +265,40 @@ class _WeakOrder:
         return [v >> 1 for v in self.at]
 
 
+def _depth_first(depth: int, options, put, take, leaf,
+                 budget: Optional[NodeBudget]) -> Iterator:
+    """Walk a tree of choices depth levels deep, depth >= 1, and yield
+    what leaf() returns below the last level, unless it is None.
+
+    options(i) lists the choices at level i given those above it.  Each
+    choice spends one node before put(i, o) makes it, and a put that
+    returns False is taken back before the next choice.  The path is kept
+    as a stack of option iterators rather than of frames, so the depth is
+    not bounded by the interpreter's recursion limit."""
+    stack, i = [iter(options(0))], 0  # i: the level being chosen
+    while i >= 0:
+        for o in stack[i]:
+            if budget is not None:
+                budget.spend()
+            if put(i, o):
+                break
+            take()
+        else:  # the level is exhausted: undo the choice above it
+            stack.pop()
+            i -= 1
+            if i >= 0:
+                take()
+            continue
+        if i + 1 < depth:
+            i += 1
+            stack.append(iter(options(i)))
+        else:
+            found = leaf()
+            if found is not None:
+                yield found
+            take()
+
+
 # --------------------------------------------------- plain chain enumeration
 
 def _plain_assignments(table, require_failure: bool,
@@ -362,22 +381,15 @@ def _plain_assignments(table, require_failure: bool,
                 return None
         return q, val, covers, fns
 
-    def dfs(i: int) -> Iterator:
-        if i == npts:
-            found = leaf()
-            if found:
-                yield found
-            return
-        mate = info[i][1] if info[i][0] == "cov" else None
-        for p in places(i):
-            if budget is not None:
-                budget.spend()
-            wo.put(p, mate)
-            yield from dfs(i + 1)
-            wo.take()
+    mates = [parent if kind == "cov" else None
+             for kind, parent, _, _ in info]
+
+    def put(i: int, p: int) -> bool:
+        wo.put(p, mates[i])
+        return True
 
     for q in range(1, npts + 1):
-        yield from dfs(0)
+        yield from _depth_first(npts, places, put, wo.take, leaf, budget)
 
 
 def enumerate_compatible_surjections(
@@ -424,32 +436,28 @@ def _structurings(q: int, covers, fns,
     wo = _WeakOrder()
     at = wo.at
 
-    def dfs(i: int) -> Iterator:
-        if i == q:
-            yield (list(blk), wo.ranks(), blk[q - 1] + 1, wo.classes)
-            return
+    def options(i: int) -> list:
         top = 2 * wo.classes
         if i == 0:  # the first element opens the first slot
-            options = [(0, 0, None)]
-        elif i - 1 in cover_starts:
-            options = [(blk[i - 1], p, i - 1)
-                       for p in wo.places(at[i - 1] + 1, at[i - 1] + 2)]
-        else:
-            options = [(blk[i - 1], p, None)
-                       for p in wo.places(at[i - 1] + 1, top)]
-            options += [(blk[i - 1] + 1, p, None)
-                        for p in wo.places(0, top)]
-        for b, p, mate in options:
-            if budget is not None:
-                budget.spend()
-            blk[i] = b
-            wo.put(p, mate)
-            if all((blk[x1] == blk[x2]) == (blk[y1] == blk[y2])
-                   for x1, y1, x2, y2 in quads_at.get(i, ())):
-                yield from dfs(i + 1)
-            wo.take()
+            return [(0, 0, None)]
+        if i - 1 in cover_starts:
+            return [(blk[i - 1], p, i - 1)
+                    for p in wo.places(at[i - 1] + 1, at[i - 1] + 2)]
+        return ([(blk[i - 1], p, None)
+                 for p in wo.places(at[i - 1] + 1, top)]
+                + [(blk[i - 1] + 1, p, None) for p in wo.places(0, top)])
 
-    yield from dfs(0)
+    def put(i: int, option) -> bool:
+        b, p, mate = option
+        blk[i] = b
+        wo.put(p, mate)
+        return all((blk[x1] == blk[x2]) == (blk[y1] == blk[y2])
+                   for x1, y1, x2, y2 in quads_at.get(i, ()))
+
+    def leaf():
+        return list(blk), wo.ranks(), blk[q - 1] + 1, wo.classes
+
+    yield from _depth_first(q, options, put, wo.take, leaf, budget)
 
 
 def enumerate_partition_diagrams(

@@ -31,7 +31,7 @@ import math
 from typing import Iterable, Mapping, Optional
 
 from . import fnz
-from .diagram import BudgetExceeded, CChain, PartialFn, SpacingEmbedding
+from .diagram import CChain, NodeBudget, PartialFn, SpacingEmbedding
 
 # gap intervals wider than this are bisected instead of enumerated
 _SPLIT_WIDTH = 16
@@ -175,7 +175,7 @@ def find_witness_embedding(chain: CChain,
                            fns: Mapping[str, PartialFn] | Iterable[PartialFn],
                            n: int,
                            cap: Optional[int] = None,
-                           node_budget: Optional[int] = None
+                           node_budget: Optional[NodeBudget] = None
                            ) -> Optional[SpacingEmbedding]:
     """Search for a spacing embedding of the chain under which every given
     partial function is n-periodic (its counterpart extends to a periodic
@@ -185,7 +185,9 @@ def find_witness_embedding(chain: CChain,
     or None if there is none up to the cap.  The default cap is the proof
     bound complete_cap(chain.size, n), so None then proves that no
     embedding exists at all, since a witness of any height can be re-spaced
-    below that bound.  Raises BudgetExceeded after node_budget assignments.
+    below that bound.  Each search node spends one node of node_budget,
+    the NodeBudget of the whole decision, which raises BudgetExceeded once
+    it runs out.
 
     n-periodicity of a counterpart is the pairwise condition
     ceil((e(y)-e(y'))/n) <= ceil((e(x)-e(x'))/n) over pairs (x,y), (x',y')
@@ -261,14 +263,9 @@ def find_witness_embedding(chain: CChain,
                 return True
         return True  # propagation out of passes: sound, just less pruning
 
-    nodes = [0]
-
     def dfs(lo, hi) -> Optional[list[int]]:
         if node_budget is not None:
-            nodes[0] += 1
-            if nodes[0] > node_budget:
-                raise BudgetExceeded(
-                    f"witness embedding search exceeded {node_budget} nodes")
+            node_budget.spend()
         if not propagate(lo, hi):
             return None
         free = next((k for k in range(ngaps) if lo[k] < hi[k]), None)

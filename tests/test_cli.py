@@ -136,6 +136,14 @@ def test_budget_exhaustion_exit_code(capsys):
     assert json.loads(out)["verdict"] == "unknown-budget-exhausted"
 
 
+def test_long_product_fails_without_a_traceback(capsys):
+    # 1,101 points, so a search path deeper than the recursion limit
+    eq = "1 <= " + " ".join(f"x{i}" for i in range(1100))
+    code, out, err = run(capsys, "decide", "--theory", "fnz", "--n", "1", eq)
+    assert code == 1, err
+    assert json.loads(out)["verdict"] == "fails"
+
+
 def test_dlp_paths(capsys):
     code, out, _ = run(capsys, "decide", "--theory", "lpn", "--n", "1",
                        "1 <= x")

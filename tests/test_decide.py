@@ -24,24 +24,27 @@ from lpregroup.diagram import BudgetExceeded
 from test_term import renaming
 
 
-def assert_stats_contract(v: Verdict, eq: str):
+def assert_stats_contract(v: Verdict, eq: str, budget=None):
     # every candidate drawn gets exactly one embedding attempt, and the
-    # search stops at the first embedding found
+    # search stops at the first embedding found or the first attempt
+    # that runs out of budget
     s = v.stats
     assert s["failing_candidates"] == (s["embeddings_refuted"]
-                                       + s["attempts_capped"]
+                                       + (s.get("stopped_by") == "embedding")
                                        + (v.status == FAILS))
     # the embedding attempts' time is part of the total
     assert 0 <= s["embed_s"] <= s["time_s"]
+    # one budget bounds the enumeration and the embedding searches, and
+    # the node that exhausts it is counted
+    assert s["nodes"] >= 0 and s["embed_nodes"] >= 0
+    if budget is not None:
+        assert s["nodes"] + s["embed_nodes"] <= budget + 1
     # a skipped conjunct renames an earlier one, so never the first
     assert 0 <= s["renamed_conjuncts"] < max(len(term.conjuncts(eq)), 1)
-    # valid needs every attempt refuted; an unknown names the budget
-    # that stopped it, and a decided run names none
-    if v.status == VALID:
-        assert s["attempts_capped"] == 0
+    # an unknown names where the budget ran out, and a decided run names
+    # nothing
     if v.status == UNKNOWN:
         assert s["stopped_by"] in ("enumeration", "embedding")
-        assert s["stopped_by"] == "enumeration" or s["attempts_capped"] > 0
     else:
         assert "stopped_by" not in s
 
@@ -229,7 +232,17 @@ def test_budget_exhaustion_reports_unknown():
     assert v.exit_code == 2
     assert v.stats["nodes"] <= 501
     assert v.stats["stopped_by"] == "enumeration"
-    assert_stats_contract(v, "x^l = x^r")
+    assert_stats_contract(v, "x^l = x^r", budget=500)
+
+
+@pytest.mark.parametrize("proc", [decide.decide_fnz, decide.decide_lpn])
+def test_long_product_searches_past_the_recursion_limit(proc):
+    # 1,100 variables give 1,101 points, each one level of the search,
+    # deeper than the interpreter's default recursion limit of 1,000
+    eq = "1 <= " + " ".join(f"x{i}" for i in range(1100))
+    v = proc(eq, 1)
+    assert v.status == FAILS
+    assert verify_witness(eq, v.witness)
 
 
 def test_capped_run_with_large_point_set_returns_quickly():
@@ -355,17 +368,35 @@ def test_capped_proves_valid_when_every_candidate_is_refuted():
 
 
 def test_capped_embedding_attempt_out_of_budget_is_unknown(monkeypatch):
-    # a candidate whose embedding search gave up is not refuted, so the
-    # exhausted stream proves nothing
+    # an embedding search that runs out of budget ends the decision: the
+    # candidate is not refuted, so nothing after it can prove valid
     def gives_up(*args, **kwargs):
         raise BudgetExceeded("simulated embedding budget")
 
     monkeypatch.setattr(spacing, "find_witness_embedding", gives_up)
     v = decide.decide_fnz("1 <= x^l x", 1)
     assert v.status == UNKNOWN
-    assert v.stats["attempts_capped"] == 18
+    assert v.stats["failing_candidates"] == 1
     assert v.stats["stopped_by"] == "embedding"
     assert_stats_contract(v, "1 <= x^l x")
+
+
+@pytest.mark.parametrize("budget, status", [(675, UNKNOWN), (676, FAILS)])
+def test_embedding_search_spends_the_decision_budget(budget, status):
+    # 627 enumeration nodes draw 49 candidates, and each embedding search
+    # spends one node: the first 48 are refuted at their root, and the
+    # 49th finds the witness at the decision's 676th node, so one node
+    # less stops the run inside that search
+    eq = "(x^r y) = z^l"
+    v = decide.decide_fnz(eq, 2, budget=budget)
+    assert v.status == status
+    assert (v.stats["failing_candidates"], v.stats["nodes"],
+            v.stats["embed_nodes"]) == (49, 627, 49)
+    if status == UNKNOWN:
+        assert v.stats["stopped_by"] == "embedding"
+    else:
+        assert verify_witness(eq, v.witness)
+    assert_stats_contract(v, eq, budget)
 
 
 @pytest.mark.parametrize("theory,eq", [
@@ -382,7 +413,7 @@ def test_capped_valid_agrees_with_complete(theory, eq):
     v = proc(eq, 1, budget=20_000)
     assert v.status == VALID
     assert v.stats["failing_candidates"] > 0
-    assert_stats_contract(v, eq)
+    assert_stats_contract(v, eq, 20_000)
     assert proc(eq, 1, complete=True).status == VALID
 
 
@@ -552,7 +583,7 @@ def test_decider_agrees_with_oracle(eq, theory, n):
         proc, search = decide.decide_lpn, oracle.search_counterexample_lex
     v = proc(eq, n, budget=20_000)
     w = search(eq, n, budget=30, seed=0)
-    assert_stats_contract(v, eq)
+    assert_stats_contract(v, eq, 20_000)
     if v.status == FAILS:
         assert verify_witness(eq, v.witness)
     if w is not None:

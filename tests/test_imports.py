@@ -1,7 +1,7 @@
 """Every name a source module imports is used in that module, no source
-module relies on a bare assert, which python -O strips, and the decision
-path imports none of the modules that only reproduce or cross-check the
-paper."""
+module relies on a bare assert, which python -O strips, the decision path
+imports none of the modules that only reproduce or cross-check the paper,
+and the node budget is defined once, below every layer that spends it."""
 
 import ast
 import pathlib
@@ -94,3 +94,25 @@ def test_detects_package_imports():
 def test_decision_path_stays_apart(name):
     source = (SRC / f"{name}.py").read_text()
     assert package_imports(source) & OFF_PATH == set()
+
+
+def class_names(source: str) -> set[str]:
+    """The names of the classes a module defines."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)}
+
+
+def test_budget_defined_once_in_diagram():
+    # one NodeBudget bounds a whole decision, so the budget and its
+    # exception live below every layer that spends them
+    owners = {path.stem for path in SRC.glob("*.py")
+              if class_names(path.read_text())
+              & {"NodeBudget", "BudgetExceeded"}}
+    assert owners == {"diagram"}
+
+
+def test_spacing_stays_below_the_search():
+    # the embedding search is handed its budget; it does not reach up to
+    # the enumeration or the decider for it
+    source = (SRC / "spacing.py").read_text()
+    assert package_imports(source) & {"search", "decide"} == set()

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpregroup import fnz
-from lpregroup.diagram import CChain, PartialFn, SpacingEmbedding
+from lpregroup.diagram import (BudgetExceeded, CChain, NodeBudget, PartialFn,
+                               SpacingEmbedding)
 from lpregroup import spacing
 from lpregroup.bounds import (find_short_1transfer, find_short_ntransfer,
                               transfers_periodicity)
-from lpregroup.spacing import (BudgetExceeded, find_witness_embedding, nu,
-                               rho, tighten)
+from lpregroup.spacing import find_witness_embedding, nu, rho, tighten
 
 
 # --------------------------------------------------------------- oracles
@@ -262,7 +262,8 @@ def test_witness_budget():
     fns = [PartialFn.from_mapping({0: 2, 1: 3, 2: 4}),
            PartialFn.from_mapping({0: 3, 1: 4})]
     with pytest.raises(BudgetExceeded):
-        find_witness_embedding(chain, fns, 2, cap=40, node_budget=1)
+        find_witness_embedding(chain, fns, 2, cap=40,
+                               node_budget=NodeBudget(1))
 
 
 @st.composite
