@@ -22,13 +22,22 @@ exist because propagating the two sides of a ceil constraint separately
 transfers their difference over shared gaps one pass at a time, far too
 slowly for completeness-scale caps; in the row Y - X the shared gaps
 cancel algebraically.
+
+At n = 1 a function is periodic iff it is a partial translation, so two
+consecutive pairs (x1, y1), (x2, y2) need segments [x1, x2] and [y1, y2]
+of equal length.  Before the closure and before any other set-up, a
+screen (_segments_refute) tests each such equality on its own against the
+gap bounds, from prefix counts of the covers and without building a row;
+it refutes nearly every problem the deciders pose.  It stays outside the
+closure: it sees a raw row's interval contradiction that elimination can
+mix away, so it refutes some problems the closure passes to the search.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Mapping, Optional
+from typing import Collection, Mapping, Optional
 
 from . import fnz
 from .diagram import CChain, NodeBudget, PartialFn, SpacingEmbedding
@@ -96,6 +105,40 @@ def tighten(row, rhs: int, lo: list[int], hi: list[int]) -> bool:
             if bottom > lo[k]:
                 lo[k] = bottom
     return True
+
+
+def _segments_refute(chain: CChain, fns: Collection[PartialFn],
+                     cap: Optional[int]) -> bool:
+    """The n = 1 screen: True when some function has consecutive pairs
+    (x1, y1), (x2, y2) whose segments X = [x1, x2] and Y = [y1, y2] cannot
+    get equal lengths under any embedding of height at most cap (None:
+    the proof bound rho), so the function is no partial translation.
+
+    Pairs are sorted and order-preserving, so both segments point up and
+    in the row X - Y the gaps of X \\ Y count +1, those of Y \\ X count -1
+    and the overlap cancels.  Every cover gap is exactly 1 and every free
+    gap lies in [1, cap]; with P and N free gaps of each sign, the row
+    holds only if rhs = covers(Y) - covers(X) lies in [P - N cap,
+    P cap - N].  Prefix counts of the covers make each test O(1), and no
+    row is built."""
+    if cap is None:
+        cap = rho(chain.size)
+    cov = [0] * (chain.size + 1)
+    for a, _ in chain.covers:
+        cov[a + 1] = 1
+    cov = list(itertools.accumulate(cov))  # cov[i]: cover gaps below i
+    for g in fns:
+        pairs = g.pairs
+        for (x1, y1), (x2, y2) in zip(pairs, pairs[1:]):
+            kx, ky = cov[x2] - cov[x1], cov[y2] - cov[y1]
+            lo, hi = max(x1, y1), min(x2, y2)
+            both, kboth = (hi - lo, cov[hi] - cov[lo]) if lo < hi else (0, 0)
+            p = x2 - x1 - both - (kx - kboth)
+            m = y2 - y1 - both - (ky - kboth)
+            rhs = ky - kx
+            if not p - m * cap <= rhs <= p * cap - m:
+                return True
+    return False
 
 
 def _translation_closure(fns, ngaps, fixed, cap):
@@ -172,7 +215,8 @@ def _translation_closure(fns, ngaps, fixed, cap):
 
 
 def find_witness_embedding(chain: CChain,
-                           fns: Mapping[str, PartialFn] | Iterable[PartialFn],
+                           fns: Mapping[str, PartialFn]
+                           | Collection[PartialFn],
                            n: int,
                            cap: Optional[int] = None,
                            node_budget: Optional[NodeBudget] = None
@@ -189,23 +233,33 @@ def find_witness_embedding(chain: CChain,
     the NodeBudget of the whole decision, which raises BudgetExceeded once
     it runs out.
 
+    fns is a mapping or a collection, since it is read more than once.
+
     n-periodicity of a counterpart is the pairwise condition
     ceil((e(y)-e(y'))/n) <= ceil((e(x)-e(x'))/n) over pairs (x,y), (x',y')
     of each function; both sides are signed sums of gaps, so box
-    propagation (tighten) over the gap domains prunes the search.
+    propagation (tighten) over the gap domains prunes the search.  At
+    n = 1 two sound refutations run first, each returning None: the
+    segment screen (_segments_refute), which tests each consecutive pair
+    of pairs on its own before any set-up, then the translation closure
+    (_translation_closure), which eliminates over all of them and hands
+    its reduced rows to the search.
     """
     if isinstance(fns, Mapping):
-        fns = list(fns.values())
-    else:
-        fns = list(fns)
+        fns = fns.values()
+    # the screen refutes nearly every problem of the deciders, so it runs
+    # before any other set-up
+    if n == 1 and _segments_refute(chain, fns, cap):
+        return None
+    fns = list(fns)
     if cap is None:
         cap = complete_cap(chain.size, n)
     ngaps = chain.size - 1
     if ngaps == 0:
         return SpacingEmbedding(chain, (0,))
 
-    # the n = 1 closure refutes most problems outright, so it runs before
-    # any row is built
+    # the closure refutes most problems the screen passes, so it runs
+    # before any row is built
     closure = []
     if n == 1:
         fixed = {b - 1 for a, b in chain.covers}

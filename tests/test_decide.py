@@ -74,6 +74,23 @@ def test_valid_with_refutations():
     assert v.stats["embeddings_refuted"] == v.stats["failing_candidates"]
 
 
+@pytest.mark.parametrize("eq, candidates, nodes", [
+    ("x y = y x", 18_072, 61_977),
+    ("x y x^l y^l <= 1", 22_448, 69_924),
+])
+def test_segment_screen_refutes_before_any_embedding_node(eq, candidates,
+                                                          nodes):
+    # at n=1 the segment-length screen or the translation closure refutes
+    # every candidate, so no embedding search spends a node (the DFS
+    # spent 9 on x y = y x before the screen); the enumeration is as it was
+    v = decide.decide_fnz(eq, 1, complete=True)
+    assert v.status == VALID
+    s = v.stats
+    assert (s["failing_candidates"], s["embeddings_refuted"], s["nodes"],
+            s["embed_nodes"]) == (candidates, candidates, nodes, 0)
+    assert_stats_contract(v, eq)
+
+
 def test_trivial_conjunction_valid_even_capped():
     # every conjunct drops as trivially true, so capped mode may say valid
     v = decide.decide_fnz("1 <= 1 | x", 3)

@@ -1,7 +1,9 @@
 """Tests for chain re-spacing: the height bounds, the short re-spacings
 of the bounds module (pinned on literal chains and checked for transfer),
-box propagation, the witness embedding search against brute force, and
-the n = 1 translation closure against elimination over Fractions."""
+box propagation, the witness embedding search against brute force, the
+n = 1 segment screen against brute force and against an embedding's own
+shifts, and the n = 1 translation closure against elimination over
+Fractions."""
 
 import itertools
 import math
@@ -298,6 +300,31 @@ def test_witness_matches_bruteforce(instance):
         gaps = tuple(got.positions[i + 1] - got.positions[i]
                      for i in range(chain.size - 1))
         assert gaps == expect
+
+
+# ----------------------------------------------------- segment screen
+
+@settings(max_examples=300, deadline=None)
+@given(witness_instances(max_size=6, max_fns=3, max_n=1), st.integers(1, 12))
+def test_segment_screen_refutes_only_without_witness(instance, cap):
+    chain, fns, _ = instance
+    if spacing._segments_refute(chain, fns, cap):
+        assert oracle_witness_gaps(chain, fns, 1, cap) is None
+        assert find_witness_embedding(chain, fns, 1, cap=cap) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(embedded_chains())
+def test_segment_screen_passes_an_embeddings_own_shifts(e):
+    # each shift c realized in the positions is a partial translation
+    # of the chain, and the embedding itself makes all of them one
+    index = {p: i for i, p in enumerate(e.positions)}
+    shifts = [PartialFn.from_mapping({i: index[p + c]
+                                      for i, p in enumerate(e.positions)
+                                      if p + c in index})
+              for c in range(e.height + 1)]
+    for cap in (e.height, None):
+        assert not spacing._segments_refute(e.chain, shifts, cap)
 
 
 # ---------------------------------------------------- translation closure
