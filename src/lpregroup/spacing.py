@@ -21,7 +21,10 @@ translation equalities (_translation_closure).  The cancelled rows
 exist because propagating the two sides of a ceil constraint separately
 transfers their difference over shared gaps one pass at a time, far too
 slowly for completeness-scale caps; in the row Y - X the shared gaps
-cancel algebraically.
+cancel algebraically.  A search node costs one pass over the rows and
+constraints; a box with every gap fixed gets one more pass before it is
+accepted, since over a fixed box one pass is exact.  The boxes wait on
+an explicit stack rather than in recursion.
 
 At n = 1 a function is periodic iff it is a partial translation, so two
 consecutive pairs (x1, y1), (x2, y2) need segments [x1, x2] and [y1, y2]
@@ -238,7 +241,9 @@ def find_witness_embedding(chain: CChain,
     n-periodicity of a counterpart is the pairwise condition
     ceil((e(y)-e(y'))/n) <= ceil((e(x)-e(x'))/n) over pairs (x,y), (x',y')
     of each function; both sides are signed sums of gaps, so box
-    propagation (tighten) over the gap domains prunes the search.  At
+    propagation (tighten) over the gap domains prunes the search: each
+    box popped off a stack spends one node and one pass, and its first
+    free gap is bisected or enumerated, lower values first.  At
     n = 1 two sound refutations run first, each returning None: the
     segment screen (_segments_refute), which tests each consecutive pair
     of pairs on its own before any set-up, then the translation closure
@@ -295,62 +300,51 @@ def find_witness_embedding(chain: CChain,
         rows.append((row, rhs))
         rows.append(([(k, -c) for k, c in row], -rhs))
 
-    max_passes = 20 * (ngaps + len(constraints) + 1)
-
     def propagate(lo, hi) -> bool:
-        for _ in range(max_passes):
-            before = (tuple(lo), tuple(hi))
-            for row, rhs in rows:
-                if not tighten(row, rhs, lo, hi):
-                    return False
-            for y, negx in constraints:
-                xhi = -sum(c * (lo[k] if c > 0 else hi[k]) for k, c in negx)
-                ylo = sum(c * (lo[k] if c > 0 else hi[k]) for k, c in y)
-                # Y <= n * ceil(X_hi / n) also refutes ceil(Y_lo / n) >
-                # ceil(X_hi / n); X >= n * (ceil(Y_lo / n) - 1) + 1
-                if not tighten(y, n * _ceil_div(xhi, n), lo, hi):
-                    return False
-                if not tighten(negx, -n * (_ceil_div(ylo, n) - 1) - 1,
-                               lo, hi):
-                    return False
-            if (tuple(lo), tuple(hi)) == before:
-                return True
-        return True  # propagation out of passes: sound, just less pruning
+        for row, rhs in rows:
+            if not tighten(row, rhs, lo, hi):
+                return False
+        for y, negx in constraints:
+            xhi = -sum(c * (lo[k] if c > 0 else hi[k]) for k, c in negx)
+            ylo = sum(c * (lo[k] if c > 0 else hi[k]) for k, c in y)
+            # Y <= n * ceil(X_hi / n) also refutes ceil(Y_lo / n) >
+            # ceil(X_hi / n); X >= n * (ceil(Y_lo / n) - 1) + 1
+            if not tighten(y, n * _ceil_div(xhi, n), lo, hi):
+                return False
+            if not tighten(negx, -n * (_ceil_div(ylo, n) - 1) - 1, lo, hi):
+                return False
+        return True
 
-    def dfs(lo, hi) -> Optional[list[int]]:
+    # a pass can fix a gap after the rows that read it, hence the recheck
+    # at a leaf.  Children go on in reverse, so the lower half and the
+    # smaller value come out first and the first leaf is lex smallest
+    stack = [(lo, hi)]
+    while stack:
+        lo, hi = stack.pop()
         if node_budget is not None:
             node_budget.spend()
         if not propagate(lo, hi):
-            return None
+            continue
         free = next((k for k in range(ngaps) if lo[k] < hi[k]), None)
         if free is None:
-            return lo
+            if propagate(lo, hi):
+                break
+            continue
         if hi[free] - lo[free] >= _SPLIT_WIDTH:
             # completeness caps leave enormous intervals; bisect so a
-            # contradiction surfaces after logarithmically many splits.
-            # Lower half first keeps the result lexicographically smallest.
+            # contradiction surfaces after logarithmically many splits
             mid = lo[free] + (hi[free] - lo[free]) // 2
+            parts = [(mid + 1, hi[free]), (lo[free], mid)]
+        else:
+            parts = [(v, v) for v in range(hi[free], lo[free] - 1, -1)]
+        for a, b in parts:
             nlo, nhi = lo[:], hi[:]
-            nhi[free] = mid
-            got = dfs(nlo, nhi)
-            if got is not None:
-                return got
-            nlo, nhi = lo[:], hi[:]
-            nlo[free] = mid + 1
-            return dfs(nlo, nhi)
-        for v in range(lo[free], hi[free] + 1):
-            nlo, nhi = lo[:], hi[:]
-            nlo[free] = nhi[free] = v
-            got = dfs(nlo, nhi)
-            if got is not None:
-                return got
-        return None
-
-    gaps = dfs(lo, hi)
-    if gaps is None:
-        return None
+            nlo[free], nhi[free] = a, b
+            stack.append((nlo, nhi))
+    else:
+        return None  # every box refuted
     positions = [0]
-    for gsize in gaps:
+    for gsize in lo:
         positions.append(positions[-1] + gsize)
     out = SpacingEmbedding(chain, tuple(positions))
     if out.height > cap:

@@ -416,6 +416,28 @@ def test_embedding_search_spends_the_decision_budget(budget, status):
     assert_stats_contract(v, eq, budget)
 
 
+def test_embedding_node_costs_one_pass(monkeypatch):
+    # the 343rd candidate is a 6-point chain at cap nu(6, 2) whose search
+    # spends the rest of the budget; each node of an embedding search
+    # runs one pass of tighten over its problem's rows and constraints
+    calls = 0
+    tighten = spacing.tighten
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return tighten(*args)
+
+    monkeypatch.setattr(spacing, "tighten", counted)
+    eq = "1 <= y^(-1) x^(1) | y x"
+    v = decide.decide_fnz(eq, 2, budget=4_500)
+    assert v.status == UNKNOWN
+    assert v.stats["stopped_by"] == "embedding"
+    assert (v.stats["nodes"], v.stats["embed_nodes"]) == (3746, 755)
+    assert calls <= 100 * v.stats["embed_nodes"]
+    assert_stats_contract(v, eq, 4_500)
+
+
 @pytest.mark.parametrize("theory,eq", [
     ("fnz", "x^l <= x^r"),
     ("fnz", "1^l = (x^r x)"),

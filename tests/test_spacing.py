@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lpregroup import fnz
 from lpregroup.diagram import (BudgetExceeded, CChain, NodeBudget, PartialFn,
@@ -268,6 +268,14 @@ def test_witness_budget():
                                node_budget=NodeBudget(1))
 
 
+@pytest.mark.parametrize("size, n", [(10, 2), (10, 3), (20, 1)])
+def test_witness_search_depth_is_not_bounded_by_recursion(size, n):
+    # bisecting each gap down from the proof bound takes about log2(cap)
+    # boxes per gap, far deeper than the interpreter's recursion limit
+    e = find_witness_embedding(CChain(size), [PartialFn(((0, 0),))], n)
+    assert e.positions == tuple(range(size))
+
+
 @st.composite
 def witness_instances(draw, max_size=5, max_fns=2, max_n=3):
     size = draw(st.integers(2, max_size))
@@ -288,6 +296,11 @@ def witness_instances(draw, max_size=5, max_fns=2, max_n=3):
 
 @settings(max_examples=120, deadline=None)
 @given(witness_instances())
+# one pass leaves no gap free here without having checked every row at
+# the final values, so only the recheck at the leaf refutes the box
+@example((CChain(4, frozenset({(0, 1)})),
+          [PartialFn.from_mapping({1: 3}),
+           PartialFn.from_mapping({0: 1, 1: 2, 2: 3, 3: 3})], 3))
 def test_witness_matches_bruteforce(instance):
     chain, fns, n = instance
     cap = 2 * chain.size * n + 3
