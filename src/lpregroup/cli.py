@@ -81,9 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="node budget of the whole search: point table, "
                         "enumeration and embedding searches (default: "
                         "capped-mode preset)")
-    d.add_argument("--force", action="store_true",
-                   help="dlp only: allow a complete run past the "
-                        "practicality threshold")
     d.set_defaults(fn=_cmd_decide)
 
     v = sub.add_parser("verify", help="re-check a witness file")
@@ -126,9 +123,9 @@ def _print_json(data) -> None:
 
 
 def _cmd_decide(args) -> int:
-    if args.complete and (args.theory == "dlp" or (args.n or 0) > 3):
+    if args.complete and args.budget is None:
         print("warning: complete mode runs every search without a budget; "
-              "wall-clock time grows steeply with the period",
+              "pass --budget to bound it",
               file=sys.stderr)
     if args.theory == "dlp":
         if args.n is not None:
@@ -138,8 +135,7 @@ def _cmd_decide(args) -> int:
         raise _UsageError(f"--theory {args.theory} requires --n")
     with _reading_input():
         eq = term.parse(args.equation)
-        n = (decide.dlp_period(eq, args.complete, args.force)
-             if args.theory == "dlp" else args.n)
+        n = decide.dlp_period(eq) if args.theory == "dlp" else args.n
     proc = decide.decide_fnz if args.theory == "fnz" else decide.decide_lpn
     verdict = proc(eq, n, complete=args.complete, budget=args.budget)
     _print_json({

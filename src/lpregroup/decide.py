@@ -63,10 +63,6 @@ UNKNOWN = "unknown-budget-exhausted"
 # capped-mode default: nodes across the whole decision
 DEFAULT_NODE_BUDGET = 2_000_000
 
-# largest reduced period decide_dlp will run to completion without force;
-# witness realization materializes one period of each function
-DLP_PRACTICAL_MAX = 20_000
-
 FnPoint = Union[int, tuple[Fraction, int]]
 
 
@@ -86,7 +82,7 @@ class Witness:
 
     def to_json(self) -> dict:
         if self.space == "FnZ":
-            fn_json = lexfn.fn_to_json
+            fn_json = fnz.fn_to_json
         else:
             fn_json = lexfn.to_json
         return {
@@ -109,9 +105,9 @@ def _point_to_json(space: str, p: FnPoint):
 
 def _point_from_json(space: str, data) -> FnPoint:
     if space == "FnZ":
-        return lexfn.int_from_json(data)
+        return fnz.int_from_json(data)
     return (lexfn.rational_from_json(data["q"]),
-            lexfn.int_from_json(data["z"]))
+            fnz.int_from_json(data["z"]))
 
 
 def witness_from_json(data: dict) -> Witness:
@@ -123,16 +119,16 @@ def witness_from_json(data: dict) -> Witness:
         space = data["space"]
         if space not in ("FnZ", "FnQxZ"):
             raise ValueError(f"malformed witness: unknown space {space!r}")
-        fn_load = lexfn.fn_from_json if space == "FnZ" else lexfn.from_json
+        fn_load = fnz.fn_from_json if space == "FnZ" else lexfn.from_json
         return Witness(
             space=space,
-            n=lexfn.int_from_json(data["n"]),
+            n=fnz.int_from_json(data["n"]),
             assignment={name: fn_load(f)
                         for name, f in data["assignment"].items()},
             point=_point_from_json(space, data["point"]),
-            conjunct=lexfn.int_from_json(data.get("conjunct", 0)),
+            conjunct=fnz.int_from_json(data.get("conjunct", 0)),
             checked=tuple((c["word"], _point_from_json(space, c["value"]))
-                          for c in lexfn.list_from_json(
+                          for c in fnz.list_from_json(
                               data.get("checked", []))),
         )
     except (KeyError, TypeError, AttributeError, ZeroDivisionError) as e:
@@ -347,31 +343,22 @@ def decide_lpn(eq: Union[Equation, str], n: int, complete: bool = False,
 
 
 def decide_dlp(eq: Union[Equation, str], complete: bool = False,
-               budget: Optional[int] = None,
-               force: bool = False) -> Verdict:
+               budget: Optional[int] = None) -> Verdict:
     """Decide validity in distributive l-pregroups by reduction.
 
     An equation of symbol count s holds there iff it holds in the
-    n-periodic variety for n = 2^s * s^4.  That period is computed
-    exactly (as a big integer) and reported in the verdict.  It grows so
-    fast that complete runs are refused above a practicality threshold
-    unless force=True.  Only this period makes a valid verdict a proof
-    about DLP.  A fails verdict from decide_lpn at any period also
-    refutes the equation in DLP, because LP_n is contained in DLP."""
+    n-periodic variety for n = 2^s * s^4, computed exactly and reported
+    in the verdict.  No part of the run is linear in n: a realized
+    function has one step per chain point.  Modes and budgets are as in
+    decide_lpn.  Only this period makes a valid verdict a proof about
+    DLP.  A fails verdict from decide_lpn at any period also refutes the
+    equation in DLP, because LP_n is contained in DLP."""
     eqobj = term.parse(eq) if isinstance(eq, str) else eq
-    return decide_lpn(eqobj, dlp_period(eqobj, complete, force),
-                      complete=complete, budget=budget)
+    return decide_lpn(eqobj, dlp_period(eqobj), complete=complete,
+                      budget=budget)
 
 
-def dlp_period(eq: Equation, complete: bool = False,
-               force: bool = False) -> int:
-    """The period n = 2^s * s^4 that decide_dlp decides eq at.  Raises
-    ValueError for a complete run above the practicality threshold
-    unless force is set."""
+def dlp_period(eq: Equation) -> int:
+    """The period n = 2^s * s^4 that decide_dlp decides eq at."""
     s = term.equation_size(eq)
-    n = (1 << s) * s ** 4
-    if complete and n > DLP_PRACTICAL_MAX and not force:
-        raise ValueError(
-            f"complete decision at the reduced period n={n} is impractical "
-            f"on this machine; pass force=True")
-    return n
+    return (1 << s) * s ** 4

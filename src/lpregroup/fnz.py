@@ -1,16 +1,21 @@
 """n-periodic residuated self-maps of the integers.
 
 An n-periodic function f: Z -> Z satisfying f(x + n) = f(x) + n is stored by
-its values on one period: ``PeriodicFn(n, vals)`` with ``vals[r] = f(r)`` for
-r in [0, n).  Order-preservation plus periodicity is equivalent to the window
-invariant
+its steps on one period: ``PeriodicFn(n, steps)``, steps the sorted pairs
+(r_1, v_1), ..., (r_k, v_k), with f(r) for r in [0, n) the value of the
+first step at or after r, and v_k past r_k.  Order-preservation plus
+periodicity is the window invariant
 
-    vals[0] <= vals[1] <= ... <= vals[n-1] <= vals[0] + n,
+    0 <= r_1 < ... < r_k < n,    v_1 <= ... <= v_k <= v_1 + n,
 
-which the constructor checks.  Under composition these maps form a monoid;
-each one is residuated, and both residuals stay in the family, so the whole
-thing is a lattice-ordered monoid with pointwise meet and join.  Every
-residual, iterated or not, comes from one closed form at a point, inv_at;
+which the constructor checks.  It also normalizes: a step whose value the
+next one repeats is dropped and the last moves to n - 1, so equal maps
+have equal steps, the identity has none, and a map realized from a
+diagram has one per diagram point whatever n is (``tabulated`` reads a
+whole period).  Under composition these maps form a monoid; each one is
+residuated, and both residuals stay in the family, so the whole thing is
+a lattice-ordered monoid with pointwise meet and join.  Every residual,
+iterated or not, comes from one closed form at a point, inv_at;
 iter_inv, linv and rinv tabulate it over a period.
 
 Composition is written in application order: ``compose(f, g)`` is f after g.
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 
@@ -29,94 +35,110 @@ class PeriodicFn:
     in general, but unbounded in both directions)."""
 
     n: int
-    vals: tuple[int, ...]
+    steps: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"period must be >= 1, got {self.n}")
-        vals = tuple(self.vals)
-        object.__setattr__(self, "vals", vals)
-        if len(vals) != self.n:
-            raise ValueError(f"expected {self.n} values, got {len(vals)}")
-        for r in range(self.n - 1):
-            if vals[r] > vals[r + 1]:
-                raise ValueError(f"values must be nondecreasing: {vals}")
-        if vals[-1] > vals[0] + self.n:
-            raise ValueError(
-                f"period window violated: vals[{self.n - 1}]={vals[-1]} "
-                f"> vals[0]+n={vals[0] + self.n}"
-            )
+        n, steps = self.n, tuple(self.steps)
+        if n < 1:
+            raise ValueError(f"period must be >= 1, got {n}")
+        if steps and not (0 <= steps[0][0] and steps[-1][0] < n
+                          and steps[-1][1] <= steps[0][1] + n):
+            raise ValueError(f"steps must lie in [0, {n}) and in the period "
+                             f"window: {steps}")
+        kept = []
+        for s, t in zip(steps, steps[1:]):
+            if not (s[0] < t[0] and s[1] <= t[1]):
+                raise ValueError("residues must increase and values must "
+                                 f"not decrease: {steps}")
+            if s[1] != t[1]:
+                kept.append(s)
+        kept += [(n - 1, steps[-1][1])] if steps else []
+        if len(kept) == n and all(r == v for r, v in kept):
+            kept = []
+        object.__setattr__(self, "steps", tuple(kept))
 
     @property
     def is_identity(self) -> bool:
-        return all(v == r for r, v in enumerate(self.vals))
+        return not self.steps
 
     def __call__(self, x: int) -> int:
         return eval(self, x)
 
-    def __repr__(self):
-        return f"PeriodicFn({self.n}, {list(self.vals)})"
+
+def tabulated(n: int, vals: Iterable[int]) -> PeriodicFn:
+    """The map with f(r) = vals[r] for r in [0, n)."""
+    steps = tuple(enumerate(vals))
+    if len(steps) != n:
+        raise ValueError(f"expected {n} values, got {len(steps)}")
+    return PeriodicFn(n, steps)
 
 
 def eval(f: PeriodicFn, x: int) -> int:
     """Value of f at any integer, via f(x) = f(x mod n) + n*floor(x/n)."""
+    if not f.steps:
+        return x
     q, r = divmod(x, f.n)
-    return f.vals[r] + f.n * q
+    return f.steps[bisect_left(f.steps, (r,))][1] + f.n * q
 
 
 def id_fn(n: int) -> PeriodicFn:
     """The identity map, presented with period n."""
-    return PeriodicFn(n, tuple(range(n)))
+    return PeriodicFn(n)
 
 
 def shift_fn(n: int, c: int) -> PeriodicFn:
     """Translation x -> x + c, presented with period n."""
-    return PeriodicFn(n, tuple(r + c for r in range(n)))
+    return tabulated(n, range(c, n + c))
+
+
+def _period(f: PeriodicFn, g: PeriodicFn) -> int:
+    if f.n != g.n:
+        raise ValueError(f"period mismatch: {f.n} vs {g.n}")
+    return f.n
 
 
 def compose(f: PeriodicFn, g: PeriodicFn) -> PeriodicFn:
     """f after g.  Both arguments must use the same period."""
-    if f.n != g.n:
-        raise ValueError(f"period mismatch: {f.n} vs {g.n}")
-    return PeriodicFn(f.n, tuple(eval(f, eval(g, r)) for r in range(f.n)))
+    n = _period(f, g)
+    return tabulated(n, (eval(f, eval(g, r)) for r in range(n)))
 
 
 def leq(f: PeriodicFn, g: PeriodicFn) -> bool:
     """Pointwise order; by periodicity one period decides it."""
-    if f.n != g.n:
-        raise ValueError(f"period mismatch: {f.n} vs {g.n}")
-    return all(a <= b for a, b in zip(f.vals, g.vals))
+    return all(eval(f, r) <= eval(g, r) for r in range(_period(f, g)))
 
 
 def meet(f: PeriodicFn, g: PeriodicFn) -> PeriodicFn:
-    if f.n != g.n:
-        raise ValueError(f"period mismatch: {f.n} vs {g.n}")
-    return PeriodicFn(f.n, tuple(min(a, b) for a, b in zip(f.vals, g.vals)))
+    n = _period(f, g)
+    return tabulated(n, (min(eval(f, r), eval(g, r)) for r in range(n)))
 
 
 def join(f: PeriodicFn, g: PeriodicFn) -> PeriodicFn:
-    if f.n != g.n:
-        raise ValueError(f"period mismatch: {f.n} vs {g.n}")
-    return PeriodicFn(f.n, tuple(max(a, b) for a, b in zip(f.vals, g.vals)))
+    n = _period(f, g)
+    return tabulated(n, (max(eval(f, r), eval(g, r)) for r in range(n)))
 
 
 def inv_at(f: PeriodicFn, m: int, x: int) -> int:
-    """f^(m)(x), the m-fold iterated inverse at one point, in O(log n):
-    f^(0) = f, f^(m+1) = linv(f^(m)), f^(m-1) = rinv(f^(m)).
+    """f^(m)(x), the m-fold iterated inverse at one point, by bisection
+    over the steps: f^(0) = f, f^(m+1) = linv(f^(m)), f^(m-1) = rinv(f^(m)).
 
     With k, odd = divmod(m, 2), f^(2k)(x) = f(x - k) + k and
     f^(2k+1)(x) = linv(f)(x - k) + k; floor division makes m = -1 the
     linv of m = -2, so rinv needs no code of its own.  linv(f)(a) is
-    q*n + (first r with vals[r] >= a - q*n), q the least period whose
-    last value reaches a.  In particular f^(2n) = f^(0): these maps are
-    n-periodic elements.
+    q*n + (the residue after the last step below a - q*n, or 0), q the
+    least period whose last value reaches a.  In particular
+    f^(2n) = f^(0): these maps are n-periodic elements.
     """
+    if not f.steps:
+        return x
     k, odd = divmod(m, 2)
     a = x - k
     if not odd:
         return eval(f, a) + k
-    q = -((f.vals[-1] - a) // f.n)
-    b = q * f.n + bisect_left(f.vals, a - q * f.n)
+    steps = f.steps
+    q = -((steps[-1][1] - a) // f.n)
+    i = bisect_left(steps, a - q * f.n, key=itemgetter(1))
+    b = q * f.n + (steps[i - 1][0] + 1 if i else 0)
     if not eval(f, b - 1) < a <= eval(f, b):
         raise AssertionError(f"linv({a}) = {b} is not min{{b : f(b) >= a}}")
     return b + k
@@ -124,7 +146,7 @@ def inv_at(f: PeriodicFn, m: int, x: int) -> int:
 
 def iter_inv(f: PeriodicFn, m: int) -> PeriodicFn:
     """m-fold iterated inverse f^(m), tabulated from inv_at."""
-    return PeriodicFn(f.n, tuple(inv_at(f, m, r) for r in range(f.n)))
+    return tabulated(f.n, (inv_at(f, m, r) for r in range(f.n)))
 
 
 def linv(f: PeriodicFn) -> PeriodicFn:
@@ -142,9 +164,9 @@ def decompose(f: PeriodicFn) -> tuple[int, PeriodicFn]:
     """Split f as a translation by a multiple of n composed with a map
     fixing [0, n) setwise-ish: returns (shift, star) with
     f(x) = star(x) + shift, shift = n*floor(f(0)/n), star(0) in [0, n)."""
-    shift = f.vals[0] - f.vals[0] % f.n
-    star = PeriodicFn(f.n, tuple(v - shift for v in f.vals))
-    if not 0 <= star.vals[0] < f.n:
+    shift = eval(f, 0) // f.n * f.n
+    star = tabulated(f.n, (eval(f, r) - shift for r in range(f.n)))
+    if not 0 <= eval(star, 0) < f.n:
         raise AssertionError(f"star part starts outside [0, n): {star}")
     return shift, star
 
@@ -195,24 +217,45 @@ def extend_partial(h: Mapping[int, int], n: int) -> PeriodicFn:
     fixes nothing and extends to the identity.
 
     Construction: fold the domain into one period via
-    hbar(x mod n) = h(x) - (x - x mod n); extend hbar to all of [0, n) by
-    sending r to hbar at the smallest folded domain point >= r, or at the
-    largest folded domain point if none is.  One sweep over the sorted
-    folded domain fills each run of residues (prev, a] with hbar(a), and
-    the residues after the last point with hbar(last).
+    hbar(x mod n) = h(x) - (x - x mod n); the sorted folded pairs are the
+    steps of the extension.
     """
-    if not h:
-        return id_fn(n)
     if not is_periodic_pairs(h, n):
         raise ValueError(f"partial function is not {n}-periodic: {dict(h)}")
-    folded: dict[int, int] = {}
-    for x, hx in h.items():
-        folded[x % n] = hx - (x - x % n)
-    vals: list[int] = []
-    for a in sorted(folded):
-        vals += [folded[a]] * (a + 1 - len(vals))
-    vals += [vals[-1]] * (n - len(vals))
-    f = PeriodicFn(n, tuple(vals))
+    folded = {x % n: hx - (x - x % n) for x, hx in h.items()}
+    f = PeriodicFn(n, tuple(sorted(folded.items())))
     if any(eval(f, x) != hx for x, hx in h.items()):
         raise AssertionError(f"extension {f} does not agree with {dict(h)}")
     return f
+
+
+# ----------------------------------------------------------- serialization
+
+def fn_to_json(f: PeriodicFn) -> dict:
+    return {"n": f.n, "steps": [[r, v] for r, v in f.steps]}
+
+
+def int_from_json(v) -> int:
+    """A JSON integer as it stands: a float or a boolean is refused with
+    ValueError rather than truncated."""
+    if type(v) is not int:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
+def list_from_json(v) -> list:
+    """A JSON array as it stands: a string or an object, which would
+    iterate as characters or keys, is refused with ValueError."""
+    if type(v) is not list:
+        raise ValueError(f"expected an array, got {v!r}")
+    return v
+
+
+def fn_from_json(data: dict) -> PeriodicFn:
+    """Load fn_to_json's form; the constructor checks the steps."""
+    steps = []
+    for step in list_from_json(data["steps"]):
+        if len(list_from_json(step)) != 2:
+            raise ValueError(f"a step is [residue, value], got {step!r}")
+        steps.append((int_from_json(step[0]), int_from_json(step[1])))
+    return PeriodicFn(int_from_json(data["n"]), tuple(steps))

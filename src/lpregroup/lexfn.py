@@ -108,10 +108,10 @@ class PLBijection:
     @classmethod
     def from_json(cls, data: dict) -> "PLBijection":
         xs = [rational_from_json(s)
-              for s in list_from_json(data["breakpoints"])]
+              for s in fnz.list_from_json(data["breakpoints"])]
         pieces = [(rational_from_json(p["slope"]),
                    rational_from_json(p["intercept"]))
-                  for p in list_from_json(data["pieces"])]
+                  for p in fnz.list_from_json(data["pieces"])]
         if len(pieces) != len(xs) + 1:
             raise ValueError("need one more piece than breakpoints")
         if pieces[0][0] != 1 or pieces[-1][0] != 1:
@@ -318,18 +318,6 @@ def join(f: LexFn, g: LexFn) -> LexFn:
 
 # ----------------------------------------------------------- serialization
 
-def fn_to_json(f: PeriodicFn) -> dict:
-    return {"n": f.n, "vals": list(f.vals)}
-
-
-def int_from_json(v) -> int:
-    """A JSON integer as it stands: a float or a boolean is refused with
-    ValueError rather than truncated."""
-    if type(v) is not int:
-        raise ValueError(f"expected an integer, got {v!r}")
-    return v
-
-
 def rational_from_json(v) -> Fraction:
     """A rational as to_json writes it, a string such as "-3/2", or a
     JSON integer; a float or a boolean is refused with ValueError."""
@@ -338,33 +326,19 @@ def rational_from_json(v) -> Fraction:
     return Fraction(v)
 
 
-def list_from_json(v) -> list:
-    """A JSON array as it stands: a string or an object, which would
-    iterate as characters or keys, is refused with ValueError."""
-    if type(v) is not list:
-        raise ValueError(f"expected an array, got {v!r}")
-    return v
-
-
-def fn_from_json(data: dict) -> PeriodicFn:
-    return PeriodicFn(int_from_json(data["n"]),
-                      tuple(int_from_json(v)
-                            for v in list_from_json(data["vals"])))
-
-
 def to_json(f: LexFn) -> dict:
     return {
         "n": f.n,
         "tilde": f.tilde.to_json(),
-        "components": [{"j": str(j), "fn": fn_to_json(c)}
+        "components": [{"j": str(j), "fn": fnz.fn_to_json(c)}
                        for j, c in f.components],
     }
 
 
 def from_json(data: dict) -> LexFn:
     return LexFn(
-        int_from_json(data["n"]),
+        fnz.int_from_json(data["n"]),
         PLBijection.from_json(data["tilde"]),
-        tuple((rational_from_json(c["j"]), fn_from_json(c["fn"]))
-              for c in list_from_json(data["components"])),
+        tuple((rational_from_json(c["j"]), fnz.fn_from_json(c["fn"]))
+              for c in fnz.list_from_json(data["components"])),
     )

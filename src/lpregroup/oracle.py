@@ -55,7 +55,7 @@ def random_periodic_fn(n: int, value_bound: int,
     v0 = rng.randint(-value_bound, value_bound)
     picks = sorted(rng.sample(range(2 * n - 1), n - 1))
     vals = (v0,) + tuple(v0 + b - i for i, b in enumerate(picks))
-    return PeriodicFn(n, vals)
+    return fnz.tabulated(n, vals)
 
 
 def all_periodic_fns(n: int, value_bound: int) -> Iterator[PeriodicFn]:
@@ -64,7 +64,7 @@ def all_periodic_fns(n: int, value_bound: int) -> Iterator[PeriodicFn]:
     for v0 in range(-value_bound, value_bound + 1):
         for tail in itertools.combinations_with_replacement(
                 range(v0, v0 + n + 1), n - 1):
-            yield PeriodicFn(n, (v0,) + tail)
+            yield fnz.tabulated(n, (v0,) + tail)
 
 
 def count_periodic_fns(n: int, value_bound: int) -> int:

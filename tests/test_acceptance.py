@@ -55,7 +55,7 @@ def _linv_by_scan(f):
         while fnz.eval(f, b) < a:
             b += 1
         vals.append(b)
-    return fnz.PeriodicFn(f.n, tuple(vals))
+    return fnz.tabulated(f.n, tuple(vals))
 
 
 def _rinv_by_scan(f):
@@ -65,16 +65,16 @@ def _rinv_by_scan(f):
         while fnz.eval(f, a) > b:
             a -= 1
         vals.append(a)
-    return fnz.PeriodicFn(f.n, tuple(vals))
+    return fnz.tabulated(f.n, tuple(vals))
 
 
 def test_criterion_2_worked_component_reproduction():
     with report(2, "worked 2-periodic component decomposes and inverts "
                    "exactly"):
-        f0 = fnz.PeriodicFn(2, (4, 4))
+        f0 = fnz.tabulated(2, (4, 4))
         shift, star = fnz.decompose(f0)
         assert shift == 4
-        assert star == fnz.PeriodicFn(2, (0, 0))
+        assert star == fnz.tabulated(2, (0, 0))
 
         assert fnz.linv(f0) == _linv_by_scan(f0)
         assert fnz.rinv(f0) == _rinv_by_scan(f0)
@@ -290,10 +290,10 @@ def test_criterion_8_wreath_representation():
         # acting by a non-invertible map breaks the group-style inversion
         # roundtrip one-sidedly: the twisted component drops strictly
         n = 2
-        h = fnz.PeriodicFn(n, (0, 0))
+        h = fnz.tabulated(n, (0, 0))
         twist = fnz.compose(fnz.linv(h), h)
         assert twist != fnz.id_fn(n)
-        comps = {0: fnz.id_fn(n), 1: fnz.PeriodicFn(n, (1, 1))}
+        comps = {0: fnz.id_fn(n), 1: fnz.tabulated(n, (1, 1))}
         roundtrip = comps.get(fnz.eval(twist, 1), fnz.id_fn(n))
         assert roundtrip != comps[1]
         assert fnz.leq(roundtrip, comps[1])
@@ -315,11 +315,8 @@ def test_criterion_9_dlp_reduction_plumbing():
         v = decide.decide_lpn("1 <= x", 1)
         assert v.status == FAILS and verify_witness("1 <= x", v.witness)
 
-        # full-bound complete runs are out of desk range by design: the
-        # refusal is the documented behavior
-        try:
-            decide.decide_dlp("x y = y x", complete=True)
-        except ValueError as e:
-            assert "impractical" in str(e)
-        else:
-            raise AssertionError("complete full-bound run was not refused")
+        # complete mode runs at the reduced period itself: a realized
+        # function has one step per chain point, whatever the period
+        v = decide.decide_dlp("x y = y x", complete=True)
+        assert v.status == FAILS and v.n == 2 ** 6 * 6 ** 4
+        assert verify_witness("x y = y x", v.witness)

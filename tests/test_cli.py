@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from lpregroup import term
+from lpregroup import decide, term
 from lpregroup.cli import main
 
 
@@ -150,10 +150,21 @@ def test_dlp_paths(capsys):
     assert code == 1
     assert json.loads(out)["n"] == 1
 
-    code, _, err = run(capsys, "decide", "--theory", "dlp", "--complete",
+    # complete mode runs at the reduced period 2^6 * 6^4
+    code, out, _ = run(capsys, "decide", "--theory", "dlp", "--complete",
                        "x y = y x")
-    assert code == 3
-    assert "impractical" in err
+    assert code == 1
+    data = json.loads(out)
+    assert data["verdict"] == "fails" and data["n"] == 82_944
+    w = decide.witness_from_json(data["witness"])
+    assert decide.verify_witness("x y = y x", w)
+
+
+def test_complete_warning_only_without_a_budget(capsys):
+    argv = ("decide", "--theory", "dlp", "--complete", "1 <= x")
+    assert "warning" in run(capsys, *argv)[2]
+    code, _, err = run(capsys, *argv, "--budget", "1000")
+    assert code == 1 and err == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -199,52 +210,68 @@ def test_internal_error_exits_four(capsys, monkeypatch, error):
     assert "Traceback" in err and "simulated internal error" in err
 
 
-@pytest.mark.parametrize("body", [
-    '{"space": "FnZ"}',
-    '[]',
-    '{"space": "FnZ", "n": 1, "assignment": {"x": 5}, "point": 0}',
-    '{"space": "FnZ", "n": 1, "assignment": {"x": {"n": 1, "vals": [-1]}},'
-    ' "point": null}',
-    '{"space": "Z", "n": 1, "assignment": {"x": {"n": 1, "tilde":'
-    ' {"breakpoints": [], "pieces": [{"slope": "1", "intercept": "0"}]},'
-    ' "components": [{"j": "0", "fn": {"n": 1, "vals": [-1]}}]}},'
-    ' "point": {"q": "0", "z": 0}}',
-    '{"space": "FnZ", "n": 1, "assignment": {"x": {"n": 2, "vals":'
-    ' [-2, -2]}, "y": {"n": 2, "vals": [-2, 0]}}, "point": 1,'
-    ' "conjunct": 0}',
-    '{"space": "FnQxZ", "n": 1, "assignment": {"y": {"n": 1, "tilde":'
-    ' {"breakpoints": ["0"], "pieces": [{"slope": "1", "intercept": "-1"},'
-    ' {"slope": "5", "intercept": "-1"}]}, "components": []}},'
-    ' "point": {"q": "1", "z": 1}}',
-    '{"space": "FnQxZ", "n": 1, "assignment": {"y": {"n": 1, "tilde":'
-    ' {"breakpoints": ["0"], "pieces": [{"slope": "1", "intercept": "-1"},'
-    ' {"slope": "1", "intercept": "3"}]}, "components": []}},'
-    ' "point": {"q": "1", "z": 1}}',
-    '{"space": "FnZ", "n": 1, "assignment": {"x": {"n": 1.9, "vals":'
-    ' [-1.5]}}, "point": 0}',
-    '{"space": "FnZ", "n": 1, "assignment": {"x": {"n": 1, "vals": [-1]}},'
-    ' "point": true}',
-    '{"space": "FnQxZ", "n": 1, "assignment": {"x": {"n": 1, "tilde":'
-    ' {"breakpoints": [], "pieces": [{"slope": "1", "intercept": "0"}]},'
-    ' "components": [{"j": "0", "fn": {"n": 1, "vals": [-1]}}]}},'
-    ' "point": {"q": "1/0", "z": 0}}',
-    '{"space": "FnQxZ", "n": 1, "assignment": {"x": {"n": 1, "tilde":'
-    ' {"breakpoints": [], "pieces": [{"slope": "1", "intercept": "0"}]},'
-    ' "components": [{"j": true, "fn": {"n": 1, "vals": [-1]}}]}},'
-    ' "point": {"q": "1", "z": 0}}',
-    '{"space": "FnQxZ", "n": 1, "assignment": {"x": {"n": 1, "tilde":'
-    ' {"breakpoints": [], "pieces": [{"slope": "1", "intercept": "0"}]},'
-    ' "components": [{"j": "1", "fn": {"n": 1, "vals": [-1]}}]}},'
-    ' "point": {"q": 1.0, "z": 0}}',
+_TILDE_ID = ('{"breakpoints": [], "pieces": [{"slope": "1", '
+             '"intercept": "0"}]}')
+# x(z) = z - 1 at n = 1 and on block 0 of Q x Z: both fail 1 <= x at 0
+_FNZ_BODY = ('{"space": "FnZ", "n": 1, "assignment": {"x": '
+             '{"n": 1, "steps": [[0, -1]]}}, "point": 0}')
+_FNQXZ_BODY = ('{"space": "FnQxZ", "n": 1, "assignment": {"x": {"n": 1, '
+               '"tilde": ' + _TILDE_ID + ', "components": [{"j": "0", '
+               '"fn": {"n": 1, "steps": [[0, -1]]}}]}}, '
+               '"point": {"q": "0", "z": 0}}')
+
+
+@pytest.mark.parametrize("body", [_FNZ_BODY, _FNQXZ_BODY],
+                         ids=["FnZ", "FnQxZ"])
+def test_unbroken_witness_file_verifies(capsys, tmp_path, body):
+    # the control for the malformed files below: each of those breaks
+    # one field of one of these
+    path = tmp_path / "ok.json"
+    path.write_text(body)
+    code, out, err = run(capsys, "verify", str(path), "1 <= x")
+    assert code == 0 and json.loads(out)["verified"] and not err
+
+
+@pytest.mark.parametrize("body,reason", [
+    ('{"space": "FnZ"}', "KeyError('n')"),
+    ('[]', "TypeError"),
+    (_FNZ_BODY.replace('{"n": 1, "steps": [[0, -1]]}', '5'),
+     "not subscriptable"),
+    (_FNZ_BODY.replace('"point": 0', '"point": null'),
+     "got None"),
+    (_FNQXZ_BODY.replace('"FnQxZ"', '"Z"'), "unknown space 'Z'"),
+    ('{"space": "FnZ", "n": 1, "assignment": {"x": {"n": 2, "steps":'
+     ' [[1, -2]]}, "y": {"n": 2, "steps": [[0, -2], [1, 0]]}}, "point": 1,'
+     ' "conjunct": 0}', "x has period 2"),
+    ('{"space": "FnQxZ", "n": 1, "assignment": {"y": {"n": 1, "tilde":'
+     ' {"breakpoints": ["0"], "pieces": [{"slope": "1", "intercept": "-1"},'
+     ' {"slope": "5", "intercept": "-1"}]}, "components": []}},'
+     ' "point": {"q": "1", "z": 1}}', "slope 1"),
+    ('{"space": "FnQxZ", "n": 1, "assignment": {"y": {"n": 1, "tilde":'
+     ' {"breakpoints": ["0"], "pieces": [{"slope": "1", "intercept": "-1"},'
+     ' {"slope": "1", "intercept": "3"}]}, "components": []}},'
+     ' "point": {"q": "1", "z": 1}}', "do not meet"),
+    (_FNZ_BODY.replace('[[0, -1]]', '[[0, -1.5]]'), "got -1.5"),
+    (_FNZ_BODY.replace('"point": 0', '"point": true'), "got True"),
+    (_FNQXZ_BODY.replace('"q": "0"', '"q": "1/0"'), "ZeroDivisionError"),
+    (_FNQXZ_BODY.replace('"j": "0"', '"j": true'), "got True"),
+    (_FNQXZ_BODY.replace('"q": "0"', '"q": 0.0'), "got 0.0"),
+    (_FNZ_BODY.replace('"n": 1, "steps": [[0, -1]]',
+                       '"n": 2, "steps": [[1, 0], [0, -1]]'),
+     "residues must increase"),
+    (_FNZ_BODY.replace('"n": 1, "steps": [[0, -1]]',
+                       '"n": 2, "steps": [[0, -1], [1, 2]]'),
+     "period window"),
+    (_FNZ_BODY.replace('[[0, -1]]', '[[0, -1, 2]]'), "a step is"),
 ], ids=["missing-fields", "list", "bad-function", "null-point",
         "unknown-space", "wrong-period", "bent-tail", "broken-piece",
         "float-value", "bool-point", "zero-denominator", "bool-block",
-        "float-point"])
-def test_malformed_witness_file_exits_three(capsys, tmp_path, body):
+        "float-point", "unsorted-steps", "step-window", "long-step"])
+def test_malformed_witness_file_exits_three(capsys, tmp_path, body, reason):
     path = tmp_path / "junk.json"
     path.write_text(body)
     code, _, err = run(capsys, "verify", str(path), "1 <= x")
-    assert code == 3 and err
+    assert code == 3 and reason in err, err
 
 
 def test_help_exits_zero(capsys):

@@ -152,7 +152,7 @@ def test_commutativity_separation_at_period_one():
 
 def test_verify_rejects_wrong_point():
     # h(0) = -1 < 0 but h(1) = 1, so only the even points exhibit the failure
-    h = fnz.PeriodicFn(2, (-1, 1))
+    h = fnz.tabulated(2, (-1, 1))
     good = Witness("FnZ", 2, {"x": h}, 0)
     assert verify_witness("1 <= x", good)
     assert not verify_witness("1 <= x", Witness("FnZ", 2, {"x": h}, 1))
@@ -233,9 +233,13 @@ def test_lpn_failure_at_a_small_period_refutes_in_dlp():
     assert decide.decide_dlp("1 <= x").status == FAILS
 
 
-def test_dlp_refuses_impractical_complete_run():
-    with pytest.raises(ValueError):
-        decide.decide_dlp("x y = y x", complete=True)
+def test_dlp_complete_run_fails_with_a_verified_witness():
+    # s = 6, so complete mode runs at N = 2^6 * 6^4 = 82,944 itself
+    v = decide.decide_dlp("x y = y x", complete=True)
+    assert v.status == FAILS and v.mode == "complete"
+    assert v.n == v.witness.n == 82_944
+    assert verify_witness("x y = y x", v.witness)
+    assert_stats_contract(v, "x y = y x")
     # the same equation fails completely at a small period, under lpn
     v = decide.decide_lpn("x y = y x", 1, complete=True)
     assert v.status == FAILS
@@ -347,29 +351,39 @@ def test_capped_dlp_realizes_at_the_reduced_period():
     assert verify_witness("x y = y x", w)
 
 
+# the peak RSS is read as VmHWM: ru_maxrss keeps the high-water mark of
+# the process that ran exec, here pytest, which alone can pass 60 MB
 _DLP_REALIZE_RSS = """
-import resource
+import json
 from lpregroup import decide
 eq = "x y x^l y^l <= 1"
-v = decide.decide_dlp(eq, budget=200_000)
-print(v.status, v.n, decide.verify_witness(eq, v.witness),
-      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+for complete in (False, True):
+    v = decide.decide_dlp(eq, complete, budget=None if complete else 200_000)
+    text = json.dumps(v.witness.to_json())
+    w = decide.witness_from_json(json.loads(text))
+    print(v.status, v.n, len(text), decide.verify_witness(eq, w))
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
 """
 
 
 def test_capped_dlp_realizes_a_long_period_in_bounded_memory():
-    # N = 2^10 * 10^4 = 10,240,000: each extension is one sweep over a
-    # period, and no identity of that length is built to drop components;
-    # the witness JSON (two periods of values per function) is not printed
+    # N = 2^10 * 10^4 = 10,240,000 in capped and in complete mode: a
+    # realized function has one step per chain point, so neither the
+    # realization, the witness file nor its re-verification is O(N)
     src = os.path.dirname(os.path.dirname(decide.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", _DLP_REALIZE_RSS],
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    status, n, verified, rss_kb = proc.stdout.split()
-    assert (status, n, verified) == (FAILS, "10240000", "True")
-    assert int(rss_kb) < 400 * 1024
+    *runs, rss_kb = proc.stdout.splitlines()
+    assert len(runs) == 2
+    for run in runs:
+        status, n, size, verified = run.split()
+        assert (status, n, verified) == (FAILS, "10240000", "True")
+        assert int(size) < 10 * 1024
+    assert int(rss_kb) < 60 * 1024
 
 
 def test_capped_proves_valid_when_every_candidate_is_refuted():
@@ -547,9 +561,10 @@ _LIST_FIELDS = [
     ("FnQxZ", ("assignment", "y", "tilde", "breakpoints")),
     ("FnQxZ", ("assignment", "y", "tilde", "pieces")),
     ("FnQxZ", ("assignment", "x", "components")),
-    ("FnQxZ", ("assignment", "x", "components", 0, "fn", "vals")),
+    ("FnQxZ", ("assignment", "x", "components", 0, "fn", "steps")),
     ("FnQxZ", ("checked",)),
-    ("FnZ", ("assignment", "x", "vals")),
+    ("FnZ", ("assignment", "x", "steps")),
+    ("FnZ", ("assignment", "x", "steps", 0)),
     ("FnZ", ("checked",)),
 ]
 

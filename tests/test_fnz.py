@@ -40,7 +40,7 @@ def oracle_extend(h, n):
     for r in range(n):
         above = [a for a in dom if a >= r]
         vals.append(folded[above[0] if above else dom[-1]])
-    return PeriodicFn(n, tuple(vals))
+    return fnz.tabulated(n, vals)
 
 
 def oracle_is_periodic(pairs, n):
@@ -70,7 +70,7 @@ def periodic_fns(draw, max_n=4, bound=8):
     v0 = draw(st.integers(-bound, bound))
     steps = sorted(draw(st.lists(st.integers(0, n), min_size=n - 1,
                                  max_size=n - 1)))
-    return PeriodicFn(n, tuple([v0] + [v0 + s for s in steps]))
+    return fnz.tabulated(n, [v0] + [v0 + s for s in steps])
 
 
 @st.composite
@@ -79,7 +79,19 @@ def periodic_fn_pairs(draw, max_n=4, bound=8):
     v0 = draw(st.integers(-bound, bound))
     steps = sorted(draw(st.lists(st.integers(0, f.n), min_size=f.n - 1,
                                  max_size=f.n - 1)))
-    return f, PeriodicFn(f.n, tuple([v0] + [v0 + s for s in steps]))
+    return f, fnz.tabulated(f.n, [v0] + [v0 + s for s in steps])
+
+
+@st.composite
+def step_lists(draw, max_n=12, bound=20):
+    """(n, steps) for PeriodicFn(n, steps), not necessarily normalized:
+    sorted distinct residues with nondecreasing values inside the window."""
+    n = draw(st.integers(1, max_n))
+    residues = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    v0 = draw(st.integers(-bound, bound))
+    rises = sorted(draw(st.lists(st.integers(0, n), min_size=len(residues),
+                                 max_size=len(residues))))
+    return n, tuple(zip(residues, [v0 + d - rises[0] for d in rises]))
 
 
 # ------------------------------------------------------------- unit tests
@@ -88,36 +100,53 @@ def test_constructor_validates():
     with pytest.raises(ValueError):
         PeriodicFn(0, ())
     with pytest.raises(ValueError):
-        PeriodicFn(2, (3, 1))       # decreasing
+        PeriodicFn(2, ((0, 3), (1, 1)))     # decreasing values
     with pytest.raises(ValueError):
-        PeriodicFn(2, (0, 3))       # window wider than the period
+        PeriodicFn(2, ((0, 0), (1, 3)))     # window wider than the period
     with pytest.raises(ValueError):
-        PeriodicFn(2, (0, 1, 2))    # wrong length
+        PeriodicFn(3, ((1, 0), (1, 1)))     # repeated residue
+    with pytest.raises(ValueError):
+        PeriodicFn(3, ((2, 0), (1, 1)))     # residues out of order
+    with pytest.raises(ValueError):
+        PeriodicFn(2, ((0, 0), (2, 1)))     # residue past the period
+    with pytest.raises(ValueError):
+        PeriodicFn(2, ((-1, 0),))           # residue before the period
+    with pytest.raises(ValueError):
+        fnz.tabulated(2, (0, 1, 2))         # wrong length
+
+
+def test_constructor_normalizes_steps():
+    # a repeated value is one step, the last step covers the residues
+    # past it, and the identity has none
+    assert PeriodicFn(5, ((0, 1), (1, 1), (3, 4))).steps == ((1, 1), (4, 4))
+    assert PeriodicFn(3, ((0, 0), (1, 1), (2, 2))).steps == ()
+    assert fnz.tabulated(4, range(4)) == fnz.id_fn(4) == PeriodicFn(4)
 
 
 def test_eval_periodicity():
-    f = PeriodicFn(3, (1, 1, 4))
+    f = fnz.tabulated(3, (1, 1, 4))
+    assert f.steps == ((1, 1), (2, 4))
     assert [f(x) for x in range(-3, 6)] == [-2, -2, 1, 1, 1, 4, 4, 4, 7]
     assert f(30) == f(0) + 30
 
 
 def test_worked_example_values():
-    f = PeriodicFn(2, (4, 4))
-    assert fnz.linv(f) == PeriodicFn(2, (-4, -2))
-    assert fnz.iter_inv(f, 2) == PeriodicFn(2, (3, 5))
-    assert fnz.decompose(f) == (4, PeriodicFn(2, (0, 0)))
+    f = fnz.tabulated(2, (4, 4))
+    assert fnz.linv(f) == fnz.tabulated(2, (-4, -2))
+    assert fnz.iter_inv(f, 2) == fnz.tabulated(2, (3, 5))
+    assert fnz.decompose(f) == (4, fnz.tabulated(2, (0, 0)))
 
 
 def test_decompose_translation_part_is_multiple_of_n():
-    shift, star = fnz.decompose(PeriodicFn(3, (-4, -2, -2)))
+    f = fnz.tabulated(3, (-4, -2, -2))
+    shift, star = fnz.decompose(f)
     assert shift % 3 == 0 and shift == -6
-    assert star == PeriodicFn(3, (2, 4, 4))
-    assert all(star(x) + shift == fnz.eval(PeriodicFn(3, (-4, -2, -2)), x)
-               for x in range(-6, 7))
+    assert star == fnz.tabulated(3, (2, 4, 4))
+    assert all(star(x) + shift == fnz.eval(f, x) for x in range(-6, 7))
 
 
 def test_extend_partial_two_point_example():
-    assert fnz.extend_partial({0: 1, 3: 4}, 2) == PeriodicFn(2, (1, 2))
+    assert fnz.extend_partial({0: 1, 3: 4}, 2) == fnz.tabulated(2, (1, 2))
 
 
 def test_extend_partial_empty():
@@ -144,6 +173,72 @@ def test_is_identity_by_value(f):
 
 # --------------------------------------------------------- property tests
 
+def _dense(n, steps):
+    """One period of values by the definition of the steps: the value of
+    the first step at or after r, the last step's past it, r without
+    steps."""
+    if not steps:
+        return list(range(n))
+    return [next((v for s, v in steps if s >= r), steps[-1][1])
+            for r in range(n)]
+
+
+def _dense_eval(vals, x):
+    q, r = divmod(x, len(vals))
+    return vals[r] + len(vals) * q
+
+
+def _dense_linv(vals):
+    """min{b : f(b) >= a} for a in [0, n), scanning up from a point below.
+    f(x) - x lies within n of f(0), so f(a - f(0) - n - 1) < a."""
+    out = []
+    for a in range(len(vals)):
+        b = a - vals[0] - len(vals) - 1
+        assert _dense_eval(vals, b) < a
+        while _dense_eval(vals, b) < a:
+            b += 1
+        out.append(b)
+    return out
+
+
+def _dense_rinv(vals):
+    """max{a : f(a) <= b} for b in [0, n), scanning down from a point
+    above."""
+    out = []
+    for b in range(len(vals)):
+        a = b - vals[0] + len(vals) + 1
+        assert _dense_eval(vals, a) > b
+        while _dense_eval(vals, a) > b:
+            a -= 1
+        out.append(a)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_lists())
+def test_steps_match_a_dense_reference(case):
+    n, steps = case
+    f = PeriodicFn(n, steps)
+    vals = _dense(n, steps)
+    xs = range(-2 * n - 3, 2 * n + 4)
+    assert [f(x) for x in xs] == [_dense_eval(vals, x) for x in xs]
+    assert f.is_identity == (vals == list(range(n)))
+    assert fnz.tabulated(n, [f(r) for r in range(n)]) == f
+    up = down = vals
+    for m in range(5):
+        for x in xs:
+            assert fnz.inv_at(f, m, x) == _dense_eval(up, x)
+            assert fnz.inv_at(f, -m, x) == _dense_eval(down, x)
+        up, down = _dense_linv(up), _dense_rinv(down)
+
+
+def test_identity_of_a_long_period_has_no_steps():
+    one = fnz.id_fn(10 ** 7)
+    assert one.steps == () and one.is_identity
+    assert one(-123_456_789) == -123_456_789
+    assert fnz.inv_at(one, 3, 5) == 5
+
+
 @given(periodic_fns())
 def test_linv_rinv_match_oracle(f):
     li, ri = fnz.linv(f), fnz.rinv(f)
@@ -160,7 +255,7 @@ def _residual_chain_at(f, m, x, span):
     step = oracle_linv_at if m > 0 else oracle_rinv_at
     g = f
     for _ in range(abs(m) - 1):
-        g = PeriodicFn(f.n, tuple(step(g, a, span) for a in range(f.n)))
+        g = fnz.tabulated(f.n, (step(g, a, span) for a in range(f.n)))
     return step(g, x, span)
 
 
@@ -239,8 +334,8 @@ def test_compose_associative_with_identity(pair):
 def test_decompose_roundtrip(f):
     shift, star = fnz.decompose(f)
     assert shift % f.n == 0
-    assert 0 <= star.vals[0] < f.n
-    assert star.vals == tuple(v - shift for v in f.vals)
+    assert 0 <= star(0) < f.n
+    assert all(star(r) == f(r) - shift for r in range(f.n))
 
 
 @given(periodic_fns(), st.integers(-3, 3))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpregroup import fnz, lexfn
-from lpregroup.fnz import PeriodicFn
+from lpregroup.fnz import tabulated
 from lpregroup.lexfn import LexFn, PLBijection
 
 
@@ -31,7 +31,7 @@ def periodic_fns_at(draw, n):
                                  max_size=n - 1)))
     base = draw(st.integers(-5, 5))
     vals = [base] + [base + s for s in steps]
-    return PeriodicFn(n, tuple(vals[:n]))
+    return tabulated(n, tuple(vals[:n]))
 
 
 @st.composite
@@ -104,19 +104,19 @@ def test_eval_identity():
 
 
 def test_eval_component_fiber():
-    f = LexFn(2, PLBijection(), ((Fraction(0), PeriodicFn(2, (4, 4))),))
+    f = LexFn(2, PLBijection(), ((Fraction(0), tabulated(2, (4, 4))),))
     assert lexfn.eval(f, (0, 1)) == (0, 4)
     assert lexfn.eval(f, (7, 5)) == (7, 5)
 
 
 def test_compose_moves_components():
     shift = LexFn(1, PLBijection.translation(1),
-                  ((Fraction(0), PeriodicFn(1, (1,))),))
+                  ((Fraction(0), tabulated(1, (1,))),))
     twice = lexfn.compose(shift, shift)
     assert twice.tilde == PLBijection.translation(2)
     # the fiber at 0 first moves by the 0-component, then by the
     # component at the moved index (identity there)
-    assert twice.component(0) == PeriodicFn(1, (1,))
+    assert twice.component(0) == tabulated(1, (1,))
     for m in range(-3, 4):
         assert lexfn.eval(twice, (0, m)) == \
             lexfn.eval(shift, lexfn.eval(shift, (0, m)))
@@ -219,8 +219,8 @@ def test_exact_leq_matches_covering_sample(pair, ordered):
 
 
 def test_exact_leq_component_sensitivity():
-    lo = LexFn(2, PLBijection(), ((Fraction(1), PeriodicFn(2, (0, 1))),))
-    hi = LexFn(2, PLBijection(), ((Fraction(1), PeriodicFn(2, (1, 1))),))
+    lo = LexFn(2, PLBijection(), ((Fraction(1), tabulated(2, (0, 1))),))
+    hi = LexFn(2, PLBijection(), ((Fraction(1), tabulated(2, (1, 1))),))
     assert lexfn.exact_leq(lo, hi)
     assert not lexfn.exact_leq(hi, lo)
 
@@ -228,11 +228,11 @@ def test_exact_leq_component_sensitivity():
 def test_exact_leq_catches_far_tilde_dip():
     # the global parts agree only left of 0, where f's component is bigger
     f = LexFn(1, PLBijection(((0, 0), (1, 2))),
-              ((Fraction(-5), PeriodicFn(1, (1,))),))
+              ((Fraction(-5), tabulated(1, (1,))),))
     g = LexFn(1, PLBijection(((0, 0), (1, 3))))
     assert not lexfn.exact_leq(f, g)
     f_ok = LexFn(1, PLBijection(((0, 0), (1, 2))),
-                 ((Fraction(-5), PeriodicFn(1, (-2,))),))
+                 ((Fraction(-5), tabulated(1, (-2,))),))
     assert lexfn.exact_leq(f_ok, g)
 
 

@@ -18,17 +18,18 @@ def test_random_periodic_fn_invariants():
         n = rng.choice((1, 2, 3, 4))
         b = rng.choice((n, 2 * n, 3 * n))
         f = oracle.random_periodic_fn(n, b, rng)
-        assert abs(f.vals[0]) <= b
+        vals = [f(r) for r in range(n)]
+        assert abs(vals[0]) <= b
         # the constructor enforces the window invariant; recheck anyway
-        assert all(x <= y for x, y in zip(f.vals, f.vals[1:]))
-        assert f.vals[-1] <= f.vals[0] + n
+        assert all(x <= y for x, y in zip(vals, vals[1:]))
+        assert vals[-1] <= vals[0] + n
 
 
 def test_random_periodic_fn_period_one_is_translation():
     rng = random.Random(0)
     f = oracle.random_periodic_fn(1, 3, rng)
-    assert f.vals == (f.vals[0],)
-    assert fnz.eval(f, 10) == 10 + f.vals[0]
+    assert f.steps in ((), ((0, f(0)),))
+    assert fnz.eval(f, 10) == 10 + f(0)
 
 
 def test_random_periodic_fn_seed_determinism():
@@ -48,8 +49,8 @@ def test_random_periodic_fn_reaches_ties_and_extremes():
     seen_tie = seen_full = False
     for _ in range(300):
         f = oracle.random_periodic_fn(2, 2, rng)
-        seen_tie = seen_tie or f.vals[0] == f.vals[1]
-        seen_full = seen_full or f.vals[1] == f.vals[0] + 2
+        seen_tie = seen_tie or f(0) == f(1)
+        seen_full = seen_full or f(1) == f(0) + 2
     assert seen_tie and seen_full
 
 

@@ -71,7 +71,7 @@ def periodic_fns_at(draw, n):
     vals = [base]
     for s in steps:
         vals.append(base + s)
-    return fnz.PeriodicFn(n, tuple(vals[:n]))
+    return fnz.tabulated(n, tuple(vals[:n]))
 
 
 # ---------------------------------------------------------- frozen values
@@ -199,7 +199,7 @@ def test_1transfer_preserves_translations(e, data):
     assert short.chain == e.chain
     for _ in range(10):
         c = data.draw(st.integers(-8, 8))
-        f = fnz.PeriodicFn(1, (c,))
+        f = fnz.tabulated(1, (c,))
         assert transfers_periodicity(e, short, f)
 
 
@@ -224,7 +224,7 @@ def test_naive_squish_breaks_transfer():
     # on these points stops being a translation restriction
     e = SpacingEmbedding(CChain(6, frozenset()), (0, 1, 2, 4, 5, 6))
     squished = SpacingEmbedding(CChain(6, frozenset()), (0, 1, 2, 3, 4, 5))
-    f = fnz.PeriodicFn(1, (2,))
+    f = fnz.tabulated(1, (2,))
     assert not transfers_periodicity(e, squished, f)
     assert transfers_periodicity(e, find_short_1transfer(e), f)
 

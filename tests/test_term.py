@@ -158,7 +158,7 @@ def small_terms(draw, depth=0):
 
 def periodic_fns_at(n, bound=4):
     def build(v0, steps):
-        return fnz.PeriodicFn(n, tuple([v0] + [v0 + s for s in sorted(steps)]))
+        return fnz.tabulated(n, tuple([v0] + [v0 + s for s in sorted(steps)]))
     return st.builds(build, st.integers(-bound, bound),
                      st.lists(st.integers(0, n), min_size=n - 1,
                               max_size=n - 1))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpregroup import fnz, lexfn, wreath
-from lpregroup.fnz import PeriodicFn
+from lpregroup.fnz import tabulated
 from lpregroup.wreath import (
     WreathElement, identity, iso_from_lexfn, iso_to_lexfn, iter_inv,
     join, leq, linv, meet, multiply, rinv,
@@ -21,7 +21,7 @@ def periodic_fns_at(draw, n):
                                  max_size=n - 1)))
     base = draw(st.integers(-5, 5))
     vals = [base] + [base + s for s in steps]
-    return PeriodicFn(n, tuple(vals[:n]))
+    return tabulated(n, tuple(vals[:n]))
 
 
 @st.composite
@@ -41,17 +41,17 @@ points = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 
 def test_identity_laws():
     e = identity(2)
-    a = WreathElement(2, 3, ((0, PeriodicFn(2, (1, 2))),))
+    a = WreathElement(2, 3, ((0, tabulated(2, (1, 2))),))
     assert multiply(e, a) == a
     assert multiply(a, e) == a
 
 
 def test_twist_uses_moved_index():
     # (a * b) component at j reads a's component at b.h + j
-    a = WreathElement(1, 0, ((5, PeriodicFn(1, (7,))),))
+    a = WreathElement(1, 0, ((5, tabulated(1, (7,))),))
     b = WreathElement(1, 5, ())
-    assert multiply(a, b).comp(0) == PeriodicFn(1, (7,))
-    assert multiply(b, a).comp(5) == PeriodicFn(1, (7,))
+    assert multiply(a, b).comp(0) == tabulated(1, (7,))
+    assert multiply(b, a).comp(5) == tabulated(1, (7,))
 
 
 @settings(max_examples=200, deadline=None)
@@ -69,8 +69,8 @@ def test_associativity(a, b, c):
 # ---------------------------------------------------------------- lattice
 
 def test_join_case_table():
-    lo = WreathElement(1, 0, ((0, PeriodicFn(1, (9,))),))
-    hi = WreathElement(1, 1, ((0, PeriodicFn(1, (-9,))),))
+    lo = WreathElement(1, 0, ((0, tabulated(1, (9,))),))
+    hi = WreathElement(1, 1, ((0, tabulated(1, (-9,))),))
     # incomparable components, but the translation decides: the join takes
     # the bigger side's components wholesale
     assert join(lo, hi) == hi
@@ -167,7 +167,7 @@ def test_iter_inv_matches_residual_chain(a, m):
 def test_periodicity_needs_matching_components():
     # a 2-periodic non-translation component is not 1-periodic: one
     # double-inverse does not return to the element
-    a = WreathElement(2, 0, ((0, PeriodicFn(2, (0, 0))),))
+    a = WreathElement(2, 0, ((0, tabulated(2, (0, 0))),))
     assert iter_inv(a, 2) != a
     assert iter_inv(a, 4) == a
 
@@ -214,10 +214,10 @@ def test_iso_from_lexfn_grid():
         1,
         lexfn.PLBijection(((Fraction(0), Fraction(1, 2)),
                            (Fraction(1, 2), Fraction(3)))),
-        ((Fraction(1, 2), PeriodicFn(1, (4,))),))
+        ((Fraction(1, 2), tabulated(1, (4,))),))
     a = iso_from_lexfn(f, grid)
     assert a.h == 1
-    assert a.comp(1) == PeriodicFn(1, (4,))
+    assert a.comp(1) == tabulated(1, (4,))
 
 
 # ------------------------------------------------ failed generalization
@@ -227,11 +227,11 @@ def test_pregroup_action_breaks_inversion():
     analogous inversion formulas give (h, n)^(lr) = (h, n twisted by
     h^l o h), which differs from (h, n) whenever h is not invertible."""
     n = 2
-    h = PeriodicFn(n, (0, 0))  # collapses odd points: not invertible
+    h = tabulated(n, (0, 0))  # collapses odd points: not invertible
     hl = fnz.linv(h)
     assert fnz.compose(hl, h) != fnz.id_fn(n)
 
-    comps = {0: fnz.id_fn(n), 1: PeriodicFn(n, (1, 1))}
+    comps = {0: fnz.id_fn(n), 1: tabulated(n, (1, 1))}
 
     def comp(j):
         return comps.get(j, fnz.id_fn(n))
