@@ -10,12 +10,19 @@ simplest class of rational bijections closed under composition and
 inversion, and all but finitely many local components are the identity.
 That is enough to state, evaluate, and verify counterexamples; it is not an
 attempt to represent arbitrary order-bijections of Q.
+
+A global part is its normalized corner points, its anchors, in memory and
+on disk (``"tilde": [["x", "y"], ...]`` as rational strings), and one
+bisection over them evaluates it in either direction.  The order is
+``leq(f, g)``, decided exactly as ``meet(f, g) == f``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from . import fnz
@@ -53,76 +60,53 @@ class PLBijection:
         return not self.anchors
 
     def __call__(self, x: Rational) -> Fraction:
-        x = _frac(x)
-        pts = self.anchors
-        if not pts:
-            return x
-        if x <= pts[0][0]:
-            return pts[0][1] + (x - pts[0][0])
-        if x >= pts[-1][0]:
-            return pts[-1][1] + (x - pts[-1][0])
-        lo, hi = 0, len(pts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if pts[mid][0] <= x:
-                lo = mid
-            else:
-                hi = mid
-        (x1, y1), (x2, y2) = pts[lo], pts[hi]
-        return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
+        return _through(self.anchors, _frac(x), 0)
+
+    def preimage(self, y: Rational) -> Fraction:
+        """The x with self(x) = y, without building the inverse."""
+        return _through(self.anchors, _frac(y), 1)
 
     def inverse(self) -> "PLBijection":
         return PLBijection(tuple((y, x) for x, y in self.anchors))
 
     def compose(self, other: "PLBijection") -> "PLBijection":
         """self after other."""
-        inv = other.inverse()
         xs = sorted({x for x, _ in other.anchors}
-                    | {inv(x) for x, _ in self.anchors})
+                    | {other.preimage(x) for x, _ in self.anchors})
         return PLBijection(tuple((x, self(other(x))) for x in xs))
 
     @classmethod
     def translation(cls, c: Rational) -> "PLBijection":
         return cls(((Fraction(0), _frac(c)),))
 
-    def to_json(self) -> dict:
-        pts = self.anchors
-        breakpoints = [str(x) for x, _ in pts]
-        pieces = []
-        bounds = [None] + [x for x, _ in pts] + [None]
-        for i in range(len(pts) + 1):
-            if i == 0:
-                slope = Fraction(1)
-                ref = pts[0] if pts else (Fraction(0), Fraction(0))
-            elif i == len(pts):
-                slope = Fraction(1)
-                ref = pts[-1]
-            else:
-                (x1, y1), (x2, y2) = pts[i - 1], pts[i]
-                slope = (y2 - y1) / (x2 - x1)
-                ref = pts[i]
-            intercept = ref[1] - slope * ref[0]
-            pieces.append({"slope": str(slope), "intercept": str(intercept)})
-        return {"breakpoints": breakpoints, "pieces": pieces}
+    def to_json(self) -> list:
+        return [[str(x), str(y)] for x, y in self.anchors]
 
     @classmethod
-    def from_json(cls, data: dict) -> "PLBijection":
-        xs = [rational_from_json(s)
-              for s in fnz.list_from_json(data["breakpoints"])]
-        pieces = [(rational_from_json(p["slope"]),
-                   rational_from_json(p["intercept"]))
-                  for p in fnz.list_from_json(data["pieces"])]
-        if len(pieces) != len(xs) + 1:
-            raise ValueError("need one more piece than breakpoints")
-        if pieces[0][0] != 1 or pieces[-1][0] != 1:
-            raise ValueError("both tails must have slope 1")
+    def from_json(cls, data: list) -> "PLBijection":
+        """Load to_json's anchors; the constructor checks that they
+        increase in both coordinates."""
         anchors = []
-        for x, (s1, b1), (s2, b2) in zip(xs, pieces, pieces[1:]):
-            if s1 * x + b1 != s2 * x + b2:
-                raise ValueError(f"pieces do not meet at breakpoint {x}")
-            anchors.append((x, s1 * x + b1))
-        # no breakpoints: the translation by the one piece's intercept
-        return cls(tuple(anchors) or ((Fraction(0), pieces[0][1]),))
+        for a in fnz.list_from_json(data):
+            if len(fnz.list_from_json(a)) != 2:
+                raise ValueError(f"an anchor is [x, y], got {a!r}")
+            anchors.append((rational_from_json(a[0]),
+                            rational_from_json(a[1])))
+        return cls(tuple(anchors))
+
+
+def _through(pts, x: Fraction, i: int) -> Fraction:
+    """The PL map through the anchors pts at x, read from coordinate i to
+    the other one: i = 0 evaluates the map, i = 1 its inverse."""
+    if not pts:
+        return x
+    o = 1 - i
+    k = bisect_right(pts, x, key=itemgetter(i))
+    if k == 0 or k == len(pts):  # a slope-1 tail
+        a = pts[0] if k == 0 else pts[-1]
+        return a[o] + (x - a[i])
+    a, b = pts[k - 1], pts[k]
+    return a[o] + (b[o] - a[o]) * (x - a[i]) / (b[i] - a[i])
 
 
 def _normalize(pts):
@@ -191,9 +175,8 @@ def compose(f: LexFn, g: LexFn) -> LexFn:
     """f after g, fiberwise (f.comp at the moved index) after g.comp."""
     if f.n != g.n:
         raise ValueError(f"period mismatch: {f.n} != {g.n}")
-    gt_inv = g.tilde.inverse()
     support = {j for j, _ in g.components}
-    support |= {gt_inv(j) for j, _ in f.components}
+    support |= {g.tilde.preimage(j) for j, _ in f.components}
     comps = tuple(
         (j, fnz.compose(f.component(g.tilde(j)), g.component(j)))
         for j in sorted(support))
@@ -227,11 +210,10 @@ def inv_at(f: LexFn, m: int, p: tuple[Rational, int]) -> Point:
     i = tilde^-1(j).  A fiber without a component keeps r, since every
     iterated inverse of the identity is the identity."""
     j, r = p
-    odd = m % 2
-    if odd:
-        j = f.tilde.inverse()(j)
-    c = dict(f.components).get(j)
-    return (j if odd else f.tilde(j), r if c is None else fnz.inv_at(c, m, r))
+    if m % 2:
+        i = f.tilde.preimage(j)
+        return (i, fnz.inv_at(f.component(i), m, r))
+    return (f.tilde(j), fnz.inv_at(f.component(j), m, r))
 
 
 def eval_word(word: Iterable[tuple[str, int]],
@@ -244,21 +226,7 @@ def eval_word(word: Iterable[tuple[str, int]],
     return p
 
 
-def leq(f: LexFn, g: LexFn, sample: Iterable[tuple[Rational, int]]) -> bool:
-    """Pointwise comparison on the given sample: a sound refuter, exact
-    only if the sample covers the disagreement set."""
-    if f.n != g.n:
-        raise ValueError(f"period mismatch: {f.n} != {g.n}")
-    return all(eval(f, p) <= eval(g, p) for p in sample)
-
-
-def _tilde_grid(f: LexFn, g: LexFn) -> list[Fraction]:
-    xs = sorted({x for x, _ in f.tilde.anchors}
-                | {x for x, _ in g.tilde.anchors})
-    return xs if xs else [Fraction(0)]
-
-
-def exact_leq(f: LexFn, g: LexFn) -> bool:
+def leq(f: LexFn, g: LexFn) -> bool:
     """Decide the pointwise lexicographic order.  In a lattice f <= g iff
     f meet g = f, and meet is exact: between consecutive points of
     _lattice_grid one global part stays below the other, and on the
@@ -269,9 +237,11 @@ def exact_leq(f: LexFn, g: LexFn) -> bool:
 
 
 def _lattice_grid(f: LexFn, g: LexFn) -> list[Fraction]:
-    """Grid points plus crossings of the two global parts, so that between
-    consecutive points one global part stays on one side."""
-    xs = _tilde_grid(f, g)
+    """Both global parts' corners (or 0 when neither has one) plus their
+    crossings, so that between consecutive points one global part stays
+    on one side."""
+    xs = sorted({x for x, _ in f.tilde.anchors}
+                | {x for x, _ in g.tilde.anchors}) or [Fraction(0)]
     out = set(xs)
     for a, b in zip(xs, xs[1:]):
         da = g.tilde(a) - f.tilde(a)
@@ -284,15 +254,9 @@ def _lattice_grid(f: LexFn, g: LexFn) -> list[Fraction]:
 def _pointwise_lattice(f: LexFn, g: LexFn, pick_smaller: bool) -> LexFn:
     if f.n != g.n:
         raise ValueError(f"period mismatch: {f.n} != {g.n}")
-    xs = _lattice_grid(f, g)
-    anchors = []
-    for x in xs:
-        fx, gx = f.tilde(x), g.tilde(x)
-        if pick_smaller:
-            anchors.append((x, min(fx, gx)))
-        else:
-            anchors.append((x, max(fx, gx)))
-    tilde = PLBijection(tuple(anchors)) if anchors else PLBijection()
+    pick = min if pick_smaller else max
+    tilde = PLBijection(tuple((x, pick(f.tilde(x), g.tilde(x)))
+                              for x in _lattice_grid(f, g)))
     comps = []
     for j in sorted(set(f.support) | set(g.support)):
         fj, gj = f.tilde(j), g.tilde(j)

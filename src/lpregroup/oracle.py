@@ -96,15 +96,17 @@ def random_lexfn(n: int, value_bound: int, rng: random.Random) -> LexFn:
     return LexFn(n, tilde, comps)
 
 
-def _small_lexfns(n: int) -> list[LexFn]:
-    """A fixed small family: global translations by -1, 0, 1 crossed with
-    one fiber component at block 0 over the tightest value bound.  Big
-    enough to contain the classic separation witnesses (a fiber shift
-    against a block translation; a non-invertible fiber component)."""
-    tildes = (PLBijection(), PLBijection.translation(1),
-              PLBijection.translation(-1))
-    return [LexFn(n, t, ((Fraction(0), f),))
-            for t in tildes for f in all_periodic_fns(n, n)]
+def _small_lexfns(n: int) -> Iterator[LexFn]:
+    """A fixed small family of 3 * count_periodic_fns(n, n) elements:
+    global translations by 0, 1, -1 crossed with one fiber component at
+    block 0 over the tightest value bound.  Big enough to contain the
+    classic separation witnesses (a fiber shift against a block
+    translation; a non-invertible fiber component).  Lazy, like
+    all_periodic_fns, so a search that skips the pool builds none."""
+    for t in (PLBijection(), PLBijection.translation(1),
+              PLBijection.translation(-1)):
+        for f in all_periodic_fns(n, n):
+            yield LexFn(n, t, ((Fraction(0), f),))
 
 
 # --------------------------------------------------------------- the scans
@@ -141,7 +143,7 @@ def _candidate_blocks(assignment) -> list[Fraction]:
             js.add(x)
             js.add(y)
     for f in assignment.values():
-        js |= {f.tilde(j) for j in js} | {f.tilde.inverse()(j) for j in js}
+        js |= {f.tilde(j) for j in js} | {f.tilde.preimage(j) for j in js}
     pts = sorted(js)
     out = set(pts)
     out.update((a + b) / 2 for a, b in zip(pts, pts[1:]))
@@ -218,12 +220,12 @@ def search_counterexample_lex(eq: Union[Equation, str], n: int,
     """Look for a failing assignment on the lexicographic chain Q x Z.
 
     Same shape as the integer search, but the candidate points pair a
-    block coordinate from the assignment's own breakpoints and supports
+    block coordinate from the assignment's global-part corners and supports
     with one period's worth of integer slots.
     """
     _check_args(n, budget)
-    family = _small_lexfns(n)
     return _search(eq, n, budget, seed, "FnQxZ", lexfn.eval_word,
                    lambda asg: [(j, z) for j in _candidate_blocks(asg)
                                 for z in range(n)],
-                   family, len(family), 10_000, random_lexfn)
+                   _small_lexfns(n), 3 * count_periodic_fns(n, n), 10_000,
+                   random_lexfn)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from . import fnz
 from .fnz import PeriodicFn
@@ -140,37 +139,17 @@ def iso_to_lexfn(a: WreathElement) -> LexFn:
     return LexFn(a.n, tilde, comps)
 
 
-def iso_from_lexfn(f: LexFn,
-                   grid: Optional[Sequence[Fraction]] = None
-                   ) -> WreathElement:
-    """Inverse transport.  With no grid, the global part must be an
-    integer translation with integer-supported components.  With a grid (a
-    strictly increasing tuple of rationals standing for indices 0, 1, ...),
-    the global part must shift the grid by a constant number of steps and
-    the support must lie on the grid."""
-    if grid is None:
-        anchors = f.tilde.anchors
-        if anchors and anchors != PLBijection.translation(
-                anchors[0][1] - anchors[0][0]).anchors:
-            raise ValueError("global part is not a translation")
-        h = anchors[0][1] - anchors[0][0] if anchors else Fraction(0)
-        if h.denominator != 1:
-            raise ValueError(f"translation {h} is not an integer")
-        comps = []
-        for j, c in f.components:
-            if j.denominator != 1:
-                raise ValueError(f"component index {j} is not an integer")
-            comps.append((int(j), c))
-        return WreathElement(f.n, int(h), tuple(comps))
-    grid = [Fraction(g) for g in grid]
-    pos = {g: i for i, g in enumerate(grid)}
-    shifts = {pos[f.tilde(g)] - pos[g] for g in grid if f.tilde(g) in pos}
-    if len(shifts) != 1:
-        raise ValueError("global part does not shift the grid uniformly")
-    h = shifts.pop()
+def iso_from_lexfn(f: LexFn) -> WreathElement:
+    """Inverse transport: the global part must be an integer translation
+    and the components must sit at integer indices."""
+    h = f.tilde(0)
+    if f.tilde != PLBijection.translation(h):
+        raise ValueError("global part is not a translation")
+    if h.denominator != 1:
+        raise ValueError(f"translation {h} is not an integer")
     comps = []
     for j, c in f.components:
-        if j not in pos:
-            raise ValueError(f"component index {j} is off the grid")
-        comps.append((pos[j], c))
-    return WreathElement(f.n, h, tuple(comps))
+        if j.denominator != 1:
+            raise ValueError(f"component index {j} is not an integer")
+        comps.append((int(j), c))
+    return WreathElement(f.n, int(h), tuple(comps))

@@ -61,14 +61,14 @@ def test_verify_accepts_bare_witness_json(capsys, tmp_path):
 
 
 def test_verify_refuses_a_string_for_an_array(capsys, tmp_path):
-    # "0" iterates like ["0"], so this witness used to verify
+    # "" iterates like [], so x would load as the same identity global part
     code, out, _ = run(capsys, "decide", "--theory", "lpn", "--n", "1",
                        "x y = y x")
     assert code == 1
     env = json.loads(out)
-    tilde = env["witness"]["assignment"]["y"]["tilde"]
-    assert tilde["breakpoints"] == ["0"]
-    tilde["breakpoints"] = "0"
+    x = env["witness"]["assignment"]["x"]
+    assert x["tilde"] == []
+    x["tilde"] = ""
     path = tmp_path / "w.json"
     path.write_text(json.dumps(env))
     code, out, err = run(capsys, "verify", str(path), "x y = y x")
@@ -210,13 +210,11 @@ def test_internal_error_exits_four(capsys, monkeypatch, error):
     assert "Traceback" in err and "simulated internal error" in err
 
 
-_TILDE_ID = ('{"breakpoints": [], "pieces": [{"slope": "1", '
-             '"intercept": "0"}]}')
 # x(z) = z - 1 at n = 1 and on block 0 of Q x Z: both fail 1 <= x at 0
 _FNZ_BODY = ('{"space": "FnZ", "n": 1, "assignment": {"x": '
              '{"n": 1, "steps": [[0, -1]]}}, "point": 0}')
 _FNQXZ_BODY = ('{"space": "FnQxZ", "n": 1, "assignment": {"x": {"n": 1, '
-               '"tilde": ' + _TILDE_ID + ', "components": [{"j": "0", '
+               '"tilde": [], "components": [{"j": "0", '
                '"fn": {"n": 1, "steps": [[0, -1]]}}]}}, '
                '"point": {"q": "0", "z": 0}}')
 
@@ -243,14 +241,9 @@ def test_unbroken_witness_file_verifies(capsys, tmp_path, body):
     ('{"space": "FnZ", "n": 1, "assignment": {"x": {"n": 2, "steps":'
      ' [[1, -2]]}, "y": {"n": 2, "steps": [[0, -2], [1, 0]]}}, "point": 1,'
      ' "conjunct": 0}', "x has period 2"),
-    ('{"space": "FnQxZ", "n": 1, "assignment": {"y": {"n": 1, "tilde":'
-     ' {"breakpoints": ["0"], "pieces": [{"slope": "1", "intercept": "-1"},'
-     ' {"slope": "5", "intercept": "-1"}]}, "components": []}},'
-     ' "point": {"q": "1", "z": 1}}', "slope 1"),
-    ('{"space": "FnQxZ", "n": 1, "assignment": {"y": {"n": 1, "tilde":'
-     ' {"breakpoints": ["0"], "pieces": [{"slope": "1", "intercept": "-1"},'
-     ' {"slope": "1", "intercept": "3"}]}, "components": []}},'
-     ' "point": {"q": "1", "z": 1}}', "do not meet"),
+    (_FNQXZ_BODY.replace('"tilde": []', '"tilde": [["0", "0"], ["1", "0"]]'),
+     "anchors must increase"),
+    (_FNQXZ_BODY.replace('"tilde": []', '"tilde": [["0"]]'), "an anchor is"),
     (_FNZ_BODY.replace('[[0, -1]]', '[[0, -1.5]]'), "got -1.5"),
     (_FNZ_BODY.replace('"point": 0', '"point": true'), "got True"),
     (_FNQXZ_BODY.replace('"q": "0"', '"q": "1/0"'), "ZeroDivisionError"),
@@ -263,10 +256,15 @@ def test_unbroken_witness_file_verifies(capsys, tmp_path, body):
                        '"n": 2, "steps": [[0, -1], [1, 2]]'),
      "period window"),
     (_FNZ_BODY.replace('[[0, -1]]', '[[0, -1, 2]]'), "a step is"),
+    # the global part's earlier breakpoints-and-pieces form
+    (_FNQXZ_BODY.replace('"tilde": []', '"tilde": {"breakpoints": [], '
+                         '"pieces": [{"slope": "1", "intercept": "0"}]}'),
+     "expected an array"),
 ], ids=["missing-fields", "list", "bad-function", "null-point",
-        "unknown-space", "wrong-period", "bent-tail", "broken-piece",
+        "unknown-space", "wrong-period", "falling-anchors", "short-anchor",
         "float-value", "bool-point", "zero-denominator", "bool-block",
-        "float-point", "unsorted-steps", "step-window", "long-step"])
+        "float-point", "unsorted-steps", "step-window", "long-step",
+        "pieces-form"])
 def test_malformed_witness_file_exits_three(capsys, tmp_path, body, reason):
     path = tmp_path / "junk.json"
     path.write_text(body)

@@ -275,24 +275,37 @@ def test_capped_run_with_large_point_set_returns_quickly():
     assert v.status == UNKNOWN
 
 
-_TABLE_RSS = """
-import resource
-from lpregroup import decide
-v = decide.decide_fnz("1 <= x^(14) x", 8, budget=1000)
-print(v.status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+# a child's peak RSS is read as its VmHWM: ru_maxrss keeps the
+# high-water mark of the process that ran exec, here pytest, which alone
+# can pass 60 MB (a 17 MB child reported 98 MB)
+_PEAK_KB = """
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
 """
+
+
+def _run_child(code, *args, timeout):
+    """stdout lines of code run in a fresh interpreter on these sources."""
+    src = os.path.dirname(os.path.dirname(decide.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+_TABLE_RSS = """
+from lpregroup import decide
+print(decide.decide_fnz("1 <= x^(14) x", 8, budget=1000).status)
+""" + _PEAK_KB
 
 
 def test_capped_run_charges_the_point_table_first():
     # x^(14) has 49,152 points at n=8; their table and bound lists took
     # over a gigabyte, so the budget must run out before they are built
-    src = os.path.dirname(os.path.dirname(decide.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", _TABLE_RSS],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    status, rss_kb = proc.stdout.split()
-    assert status == UNKNOWN, proc.stderr
+    status, rss_kb = _run_child(_TABLE_RSS, timeout=60)
+    assert status == UNKNOWN
     assert int(rss_kb) < 400 * 1024
 
 
@@ -304,9 +317,8 @@ resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 t0 = time.perf_counter()
 v = decide.decide_fnz(sys.argv[1], int(sys.argv[2]), budget=1000)
 print(v.status, v.stats["stopped_by"], v.stats["nodes"],
-      time.perf_counter() - t0,
-      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-"""
+      time.perf_counter() - t0)
+""" + _PEAK_KB
 
 
 @pytest.mark.parametrize("eq, n", [("1 <= x^(16) x", 9),
@@ -315,13 +327,8 @@ def test_capped_run_stops_inside_the_point_set(eq, n):
     # the point set doubles with each unit of |m| (x^(40) would need
     # about 3 * 2^40 points), so the budget is charged point by point
     # while it is built and stops the build one point past the limit
-    src = os.path.dirname(os.path.dirname(decide.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", _POINT_SET_RSS, eq, str(n)],
-                          capture_output=True, text=True, env=env,
-                          timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    status, stopped_by, nodes, wall_s, rss_kb = proc.stdout.split()
+    run, rss_kb = _run_child(_POINT_SET_RSS, eq, str(n), timeout=60)
+    status, stopped_by, nodes, wall_s = run.split()
     assert (status, stopped_by, nodes) == (UNKNOWN, "enumeration", "1001")
     assert float(wall_s) < 5
     assert int(rss_kb) < 100 * 1024
@@ -338,21 +345,13 @@ print(json.dumps(v.to_json()))
 def test_capped_dlp_realizes_at_the_reduced_period():
     # s = 6, so N = 2^6 * 6^4 = 82,944; the candidate takes 79 nodes, and
     # realization used to rebuild a whole period per literal, O(N^2) each
-    src = os.path.dirname(os.path.dirname(decide.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", _DLP_REALIZE],
-                          capture_output=True, text=True, env=env,
-                          timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    data = json.loads(proc.stdout)
+    data = json.loads("\n".join(_run_child(_DLP_REALIZE, timeout=60)))
     assert data["status"] == FAILS
     w = witness_from_json(data["witness"])
     assert data["n"] == w.n == 82_944
     assert verify_witness("x y = y x", w)
 
 
-# the peak RSS is read as VmHWM: ru_maxrss keeps the high-water mark of
-# the process that ran exec, here pytest, which alone can pass 60 MB
 _DLP_REALIZE_RSS = """
 import json
 from lpregroup import decide
@@ -362,22 +361,14 @@ for complete in (False, True):
     text = json.dumps(v.witness.to_json())
     w = decide.witness_from_json(json.loads(text))
     print(v.status, v.n, len(text), decide.verify_witness(eq, w))
-with open("/proc/self/status") as fh:
-    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
-"""
+""" + _PEAK_KB
 
 
 def test_capped_dlp_realizes_a_long_period_in_bounded_memory():
     # N = 2^10 * 10^4 = 10,240,000 in capped and in complete mode: a
     # realized function has one step per chain point, so neither the
     # realization, the witness file nor its re-verification is O(N)
-    src = os.path.dirname(os.path.dirname(decide.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", _DLP_REALIZE_RSS],
-                          capture_output=True, text=True, env=env,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    *runs, rss_kb = proc.stdout.splitlines()
+    *runs, rss_kb = _run_child(_DLP_REALIZE_RSS, timeout=120)
     assert len(runs) == 2
     for run in runs:
         status, n, size, verified = run.split()
@@ -555,11 +546,11 @@ def test_witness_json_roundtrip(proc, eq, n):
 
 
 # the list fields of a witness, as key paths into the FnQxZ witness of
-# lpn n=1 `x y = y x` (y's tilde has one breakpoint) or the FnZ one of
+# lpn n=1 `x y = y x` (y's tilde has one anchor) or the FnZ one of
 # fnz n=2 `1 <= x`
 _LIST_FIELDS = [
-    ("FnQxZ", ("assignment", "y", "tilde", "breakpoints")),
-    ("FnQxZ", ("assignment", "y", "tilde", "pieces")),
+    ("FnQxZ", ("assignment", "y", "tilde")),
+    ("FnQxZ", ("assignment", "y", "tilde", 0)),
     ("FnQxZ", ("assignment", "x", "components")),
     ("FnQxZ", ("assignment", "x", "components", 0, "fn", "steps")),
     ("FnQxZ", ("checked",)),
@@ -575,7 +566,7 @@ _LIST_FIELDS = [
                          ids=["string", "object", "empty-object"])
 def test_witness_from_json_refuses_non_array_lists(space, path, bad):
     # a string or an object iterates as characters or keys, so "0" in
-    # place of ["0"] used to load as the same breakpoints
+    # place of ["0"] used to load as the same list
     v = (decide.decide_lpn("x y = y x", 1) if space == "FnQxZ"
          else decide.decide_fnz("1 <= x", 2))
     data = json.loads(json.dumps(v.to_json()))["witness"]

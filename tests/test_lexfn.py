@@ -90,6 +90,12 @@ def test_pl_inverse_roundtrip(f, x):
     assert f.inverse().inverse() == f
 
 
+@settings(max_examples=200, deadline=None)
+@given(pl_bijections(), fractions)
+def test_pl_preimage_is_the_inverse_at_a_point(f, y):
+    assert f.preimage(y) == f.inverse()(y)
+
+
 @settings(max_examples=100, deadline=None)
 @given(pl_bijections())
 def test_pl_json_roundtrip(f):
@@ -188,11 +194,19 @@ def test_inv_at_matches_iter_inv(f, m, q, r):
 
 # ----------------------------------------------------------------- order
 
+def sampled_leq(f, g, sample):
+    """Pointwise comparison on the given sample: a sound refuter, exact
+    only if the sample covers the disagreement set."""
+    if f.n != g.n:
+        raise ValueError(f"period mismatch: {f.n} != {g.n}")
+    return all(lexfn.eval(f, p) <= lexfn.eval(g, p) for p in sample)
+
+
 @settings(max_examples=150, deadline=None)
 @given(lex_fns(n=2), lex_fns(n=2), st.lists(lex_points(), max_size=10))
 def test_exact_leq_implies_sampled_leq(f, g, sample):
-    if lexfn.exact_leq(f, g):
-        assert lexfn.leq(f, g, sample)
+    if lexfn.leq(f, g):
+        assert sampled_leq(f, g, sample)
 
 
 def _covering_sample(f, g):
@@ -215,14 +229,14 @@ def test_exact_leq_matches_covering_sample(pair, ordered):
     f, g = pair
     if ordered:  # half the draws compare f with something above it
         g = lexfn.join(f, g)
-    assert lexfn.exact_leq(f, g) == lexfn.leq(f, g, _covering_sample(f, g))
+    assert lexfn.leq(f, g) == sampled_leq(f, g, _covering_sample(f, g))
 
 
 def test_exact_leq_component_sensitivity():
     lo = LexFn(2, PLBijection(), ((Fraction(1), tabulated(2, (0, 1))),))
     hi = LexFn(2, PLBijection(), ((Fraction(1), tabulated(2, (1, 1))),))
-    assert lexfn.exact_leq(lo, hi)
-    assert not lexfn.exact_leq(hi, lo)
+    assert lexfn.leq(lo, hi)
+    assert not lexfn.leq(hi, lo)
 
 
 def test_exact_leq_catches_far_tilde_dip():
@@ -230,10 +244,10 @@ def test_exact_leq_catches_far_tilde_dip():
     f = LexFn(1, PLBijection(((0, 0), (1, 2))),
               ((Fraction(-5), tabulated(1, (1,))),))
     g = LexFn(1, PLBijection(((0, 0), (1, 3))))
-    assert not lexfn.exact_leq(f, g)
+    assert not lexfn.leq(f, g)
     f_ok = LexFn(1, PLBijection(((0, 0), (1, 2))),
                  ((Fraction(-5), tabulated(1, (-2,))),))
-    assert lexfn.exact_leq(f_ok, g)
+    assert lexfn.leq(f_ok, g)
 
 
 @settings(max_examples=150, deadline=None)
@@ -248,11 +262,11 @@ def test_meet_join_pointwise(f, g, p):
 @given(lex_fns(n=3), lex_fns(n=3))
 def test_meet_below_arguments(f, g):
     m = lexfn.meet(f, g)
-    assert lexfn.exact_leq(m, f)
-    assert lexfn.exact_leq(m, g)
+    assert lexfn.leq(m, f)
+    assert lexfn.leq(m, g)
     j = lexfn.join(f, g)
-    assert lexfn.exact_leq(f, j)
-    assert lexfn.exact_leq(g, j)
+    assert lexfn.leq(f, j)
+    assert lexfn.leq(g, j)
 
 
 @settings(max_examples=100, deadline=None)

@@ -63,6 +63,14 @@ def test_all_periodic_fns_complete_and_distinct():
         assert len(fns) == len(set(fns)) == oracle.count_periodic_fns(n, b)
 
 
+def test_small_lexfns_match_the_stated_pool_size():
+    # the lex search states the pool's size without building the pool
+    for n in (1, 2, 3):
+        fns = list(oracle._small_lexfns(n))
+        size = 3 * oracle.count_periodic_fns(n, n)
+        assert len(fns) == len(set(fns)) == size
+
+
 def test_random_lexfn_small_description():
     rng = random.Random(5)
     for _ in range(200):

@@ -208,18 +208,6 @@ def test_iso_from_lexfn_rejects_non_translation():
         iso_from_lexfn(g)
 
 
-def test_iso_from_lexfn_grid():
-    grid = (Fraction(0), Fraction(1, 2), Fraction(3))
-    f = lexfn.LexFn(
-        1,
-        lexfn.PLBijection(((Fraction(0), Fraction(1, 2)),
-                           (Fraction(1, 2), Fraction(3)))),
-        ((Fraction(1, 2), tabulated(1, (4,))),))
-    a = iso_from_lexfn(f, grid)
-    assert a.h == 1
-    assert a.comp(1) == tabulated(1, (4,))
-
-
 # ------------------------------------------------ failed generalization
 
 def test_pregroup_action_breaks_inversion():
