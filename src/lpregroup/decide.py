@@ -289,7 +289,7 @@ def _decide(eq: Union[Equation, str], n: int, complete: bool,
                 continue
             decided.add(key)
             for cand in enumerate_failing(conj, require_failure=True,
-                                          budget=nb):
+                                          budget=nb, n=n):
                 stats["failing_candidates"] += 1
                 used, t_embed = nb.used, time.perf_counter()
                 try:

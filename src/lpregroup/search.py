@@ -22,6 +22,32 @@ constraints between points that are always present in the point set (see
 _point_table), which prune long before the brackets themselves become
 defined; every completed assignment still gets a full bracket recheck.
 
+Given a period n, the plain search also prunes by a necessary condition
+for an n-periodic spacing embedding, the one the deciders search next:
+
+  (iv)  for two pairs (x1, y1), (x2, y2) of one variable's function, with
+        x1 < x2, X = e(x2) - e(x1) and Y = e(y2) - e(y1) under the
+        embedding e, ceil(Y/n) <= ceil(X/n) and floor(X/n) <= floor(Y/n).
+
+A segment between two classes whose gaps are all shut has a fixed
+length, its gap count: each shut gap is a designated cover, which an
+embedding puts at distance 1, and no class can open inside it.  Any other
+segment is at least as long as its current gap count.  So a placed
+plain application is refused when, against an earlier pair of its
+variable, X is shut and ceil(gaps(Y)/n) > ceil(X/n), or Y is shut and
+floor(gaps(X)/n) > floor(Y/n): no completion has an embedding.  Only the
+pairs of the point just placed are tested; a gap that shuts later does
+not recheck the pairs across it.  Without n nothing is pruned.
+
+The same test is sound for the partition search, whose embedding makes
+each block's slot function n-periodic on the shared slot chain.  A shut
+segment lies inside one block on consecutive slots, because covers stay
+on adjacent slots of one block, so its slot length is its gap count.
+The block shadow of a function is a function and injective, so the other
+segment's ends lie in one block too, and there its slot length is at
+least its plain gap count.  Both pairs belong to that block's slot
+function, so the same inequality fails under every shared embedding.
+
 The plain search makes one pass per chain size q, q ascending, and each
 point tries its feasible places in ascending order, so the stream is
 canonical and capped runs meet the small chains first.
@@ -302,7 +328,8 @@ def _depth_first(depth: int, options, put, take, leaf,
 # --------------------------------------------------- plain chain enumeration
 
 def _plain_assignments(table, require_failure: bool,
-                       budget: Optional[NodeBudget] = None
+                       budget: Optional[NodeBudget] = None,
+                       n: Optional[int] = None
                        ) -> Iterator[tuple[int, list[int], set, dict]]:
     """Assignments of the points of a _point_table onto chains 0..q-1,
     each a weak order of the points built in table order.
@@ -314,9 +341,11 @@ def _plain_assignments(table, require_failure: bool,
     There is one pass per chain size q, q ascending, so capped runs meet
     small chains first: a point opens a class only while there are fewer
     than q, and joins one only while the points left can still open the
-    rest, so every leaf has exactly q classes.  Leaves read covers and
-    functions off the ranks and recheck every bracket equation.  Yields
-    (q, values, covers, fns)."""
+    rest, so every leaf has exactly q classes.  With a period n, a plain
+    application whose pair breaks condition (iv) against an earlier pair
+    of its variable is refused (module docstring).  Leaves read covers
+    and functions off the ranks and recheck every bracket equation.
+    Yields (q, values, covers, fns)."""
     pts, info, joinands, bracket_edges, sandwiches = table
     npts = len(pts)
     # per point, the earlier points bounding its place from below and
@@ -384,8 +413,25 @@ def _plain_assignments(table, require_failure: bool,
     mates = [parent if kind == "cov" else None
              for kind, parent, _, _ in info]
 
+    shut = wo.shut
+
     def put(i: int, p: int) -> bool:
         wo.put(p, mates[i])
+        if n is None or not earlier[i]:
+            return True
+        x, y = at[info[i][1]], at[i]
+        for pj, j in earlier[i]:
+            x1, x2 = sorted((x, at[pj]))
+            y1, y2 = sorted((y, at[j]))
+            # doubled places: a segment spans the (v2 - v1) / 2 gaps
+            # (v1 >> 1) + 1 .. v2 >> 1, gap r lying just below class r
+            gx, gy = (x2 - x1) >> 1, (y2 - y1) >> 1
+            if (-(-gy // n) > -(-gx // n)
+                    and False not in shut[(x1 >> 1) + 1:(x2 >> 1) + 1]):
+                return False
+            if (gx // n > gy // n
+                    and False not in shut[(y1 >> 1) + 1:(y2 >> 1) + 1]):
+                return False
         return True
 
     for q in range(1, npts + 1):
@@ -395,13 +441,16 @@ def _plain_assignments(table, require_failure: bool,
 def enumerate_compatible_surjections(
         eq: IntensionalEquation,
         require_failure: bool = False,
-        budget: Optional[NodeBudget] = None) -> Iterator[CompatibleSurjection]:
+        budget: Optional[NodeBudget] = None,
+        n: Optional[int] = None) -> Iterator[CompatibleSurjection]:
     """All compatible surjections onto 0..q-1, q ascending.  With
     require_failure, prune to assignments that put every joinand strictly
-    below the unit."""
+    below the unit.  With a period n, also prune to assignments that pass
+    condition (iv), so that only surjections with no n-periodic spacing
+    embedding are dropped."""
     table = _point_table(eq, budget)
     for q, values, covers, fns in _plain_assignments(table, require_failure,
-                                                     budget):
+                                                     budget, n):
         phi = {p: values[i] for i, p in enumerate(table[0])}
         yield CompatibleSurjection(
             phi, CChain(q, frozenset(covers)),
@@ -463,7 +512,8 @@ def _structurings(q: int, covers, fns,
 def enumerate_partition_diagrams(
         eq: IntensionalEquation,
         require_failure: bool = False,
-        budget: Optional[NodeBudget] = None) -> Iterator[PartitionDiagram]:
+        budget: Optional[NodeBudget] = None,
+        n: Optional[int] = None) -> Iterator[PartitionDiagram]:
     """All block-grid diagrams, each exactly once.
 
     Ranking the occupied cells of a grid diagram flattens it to a plain
@@ -474,10 +524,13 @@ def enumerate_partition_diagrams(
     structuring.  So the stream is: every compatible surjection, lifted
     through every structuring of its chain.  Blocks and slots are named
     by their final ranks, and each cover of the surjection becomes a
-    cover of the slot chain."""
+    cover of the slot chain.  A period n prunes as in
+    enumerate_compatible_surjections: no structuring of a dropped
+    surjection has a shared n-periodic slot embedding (module
+    docstring)."""
     table = _point_table(eq, budget)
     for q, values, covers, fns in _plain_assignments(table, require_failure,
-                                                     budget):
+                                                     budget, n):
         for blk, slt, _, d in _structurings(q, covers, fns, budget):
             phi = {p: (blk[values[i]], slt[values[i]])
                    for i, p in enumerate(table[0])}

@@ -66,23 +66,25 @@ def test_valid_complete(proc, eq, n):
 
 
 def test_valid_with_refutations():
-    # over 1-periodic functions (translations) the left inverse is exact,
-    # so this holds at n=1 even though failing diagram candidates exist
-    v = decide.decide_fnz("1 <= x^l x", 1, complete=True)
+    # 1-periodic functions are translations, which commute, so this holds
+    # at n=1 even though 202 failing candidates pass the enumeration's
+    # shut-segment test
+    v = decide.decide_fnz("x^l y^l = y^l x^l", 1, complete=True)
     assert v.status == VALID
     assert v.stats["failing_candidates"] > 0
     assert v.stats["embeddings_refuted"] == v.stats["failing_candidates"]
 
 
 @pytest.mark.parametrize("eq, candidates, nodes", [
-    ("x y = y x", 18_072, 61_977),
-    ("x y x^l y^l <= 1", 22_448, 69_924),
+    pytest.param("x y = y x", 138, 11_514, id="x y = y x"),
+    pytest.param("x y x^l y^l <= 1", 113, 3_923, id="x y x^l y^l <= 1"),
 ])
 def test_segment_screen_refutes_before_any_embedding_node(eq, candidates,
                                                           nodes):
     # at n=1 the segment-length screen or the translation closure refutes
-    # every candidate, so no embedding search spends a node (the DFS
-    # spent 9 on x y = y x before the screen); the enumeration is as it was
+    # every candidate that the enumeration's shut-segment test leaves, so
+    # no embedding search spends a node (the DFS spent 9 on x y = y x
+    # before the screen)
     v = decide.decide_fnz(eq, 1, complete=True)
     assert v.status == VALID
     s = v.stats
@@ -379,14 +381,15 @@ def test_capped_dlp_realizes_a_long_period_in_bounded_memory():
 
 def test_capped_proves_valid_when_every_candidate_is_refuted():
     # each embedding search runs up to the re-spacing bound, so refuting
-    # all 18 candidates is a proof in capped mode as in complete mode;
-    # the equation holds at n=1, where x^(1) = x^(-1)
-    v = decide.decide_fnz("1 <= x^l x", 1)
+    # all 113 candidates is a proof in capped mode as in complete mode;
+    # the equation holds at n=1, where the functions are translations
+    eq = "x y x^l y^l <= 1"
+    v = decide.decide_fnz(eq, 1)
     assert v.status == VALID
     assert v.mode == "capped"
-    assert v.stats["embeddings_refuted"] == 18
-    assert v.stats["failing_candidates"] == 18
-    assert_stats_contract(v, "1 <= x^l x")
+    assert v.stats["embeddings_refuted"] == 113
+    assert v.stats["failing_candidates"] == 113
+    assert_stats_contract(v, eq)
 
 
 def test_capped_embedding_attempt_out_of_budget_is_unknown(monkeypatch):
@@ -396,24 +399,25 @@ def test_capped_embedding_attempt_out_of_budget_is_unknown(monkeypatch):
         raise BudgetExceeded("simulated embedding budget")
 
     monkeypatch.setattr(spacing, "find_witness_embedding", gives_up)
-    v = decide.decide_fnz("1 <= x^l x", 1)
+    v = decide.decide_fnz("x y = y x", 1)  # valid, with 138 candidates
     assert v.status == UNKNOWN
     assert v.stats["failing_candidates"] == 1
     assert v.stats["stopped_by"] == "embedding"
-    assert_stats_contract(v, "1 <= x^l x")
+    assert_stats_contract(v, "x y = y x")
 
 
-@pytest.mark.parametrize("budget, status", [(675, UNKNOWN), (676, FAILS)])
-def test_embedding_search_spends_the_decision_budget(budget, status):
-    # 627 enumeration nodes draw 49 candidates, and each embedding search
-    # spends one node: the first 48 are refuted at their root, and the
-    # 49th finds the witness at the decision's 676th node, so one node
+@pytest.mark.parametrize("status", [UNKNOWN, FAILS])
+def test_embedding_search_spends_the_decision_budget(status):
+    # 430 enumeration nodes draw 7 candidates, and each embedding search
+    # spends one node: the first 6 are refuted at their root, and the
+    # 7th finds the witness at the decision's 437th node, so one node
     # less stops the run inside that search
     eq = "(x^r y) = z^l"
+    budget = 437 if status == FAILS else 436
     v = decide.decide_fnz(eq, 2, budget=budget)
     assert v.status == status
     assert (v.stats["failing_candidates"], v.stats["nodes"],
-            v.stats["embed_nodes"]) == (49, 627, 49)
+            v.stats["embed_nodes"]) == (7, 430, 7)
     if status == UNKNOWN:
         assert v.stats["stopped_by"] == "embedding"
     else:
@@ -422,7 +426,7 @@ def test_embedding_search_spends_the_decision_budget(budget, status):
 
 
 def test_embedding_node_costs_one_pass(monkeypatch):
-    # the 343rd candidate is a 6-point chain at cap nu(6, 2) whose search
+    # the 35th candidate is a 6-point chain at cap nu(6, 2) whose search
     # spends the rest of the budget; each node of an embedding search
     # runs one pass of tighten over its problem's rows and constraints
     calls = 0
@@ -438,7 +442,7 @@ def test_embedding_node_costs_one_pass(monkeypatch):
     v = decide.decide_fnz(eq, 2, budget=4_500)
     assert v.status == UNKNOWN
     assert v.stats["stopped_by"] == "embedding"
-    assert (v.stats["nodes"], v.stats["embed_nodes"]) == (3746, 755)
+    assert (v.stats["nodes"], v.stats["embed_nodes"]) == (2361, 2140)
     assert calls <= 100 * v.stats["embed_nodes"]
     assert_stats_contract(v, eq, 4_500)
 
@@ -451,14 +455,31 @@ def test_embedding_node_costs_one_pass(monkeypatch):
     ("lpn", "x^l <= x^r"),
 ])
 def test_capped_valid_agrees_with_complete(theory, eq):
-    # draws of the random benchmark that capped mode proves at n=1 by
-    # refuting every candidate up to the re-spacing bound
+    # draws of the random benchmark that capped mode proves at n=1: the
+    # shut-segment test leaves them no failing candidate, so exhausting
+    # the enumeration proves them
     proc = decide.decide_fnz if theory == "fnz" else decide.decide_lpn
     v = proc(eq, 1, budget=20_000)
     assert v.status == VALID
-    assert v.stats["failing_candidates"] > 0
     assert_stats_contract(v, eq, 20_000)
     assert proc(eq, 1, complete=True).status == VALID
+
+
+@pytest.mark.parametrize("eq", [
+    "x y = y x",
+    "x y x^l y^l <= 1",
+    "x^l y^l = y^l x^l",
+])
+def test_capped_valid_by_refutations_agrees_with_complete(eq):
+    # commutativity laws of F_1(Z), which capped mode proves by refuting
+    # every candidate up to the re-spacing bound.  No valid draw of the
+    # random benchmark leaves a candidate past the shut-segment test, and
+    # no valid lpn input that does was found
+    v = decide.decide_fnz(eq, 1, budget=20_000)
+    assert v.status == VALID
+    assert v.stats["failing_candidates"] > 0
+    assert_stats_contract(v, eq, 20_000)
+    assert decide.decide_fnz(eq, 1, complete=True).status == VALID
 
 
 def test_monotone_valid_in_variety_implies_valid_on_integers():
@@ -471,10 +492,10 @@ def test_monotone_valid_in_variety_implies_valid_on_integers():
 
 def test_mirror_conjunct_decided_once():
     # the two conjuncts of commutativity swap under x <-> y; each alone
-    # has 18,072 failing candidates, all refuted at n=1
+    # has 138 failing candidates, all refuted at n=1
     v = decide.decide_fnz("x y = y x", 1, complete=True)
     assert v.status == VALID
-    assert v.stats["failing_candidates"] == 18_072
+    assert v.stats["failing_candidates"] == 138
     assert v.stats["renamed_conjuncts"] == 1
     assert_stats_contract(v, "x y = y x")
 

@@ -7,9 +7,11 @@ from typing import Iterator, Optional
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from lpregroup import search, spacing, term
-from lpregroup.diagram import iter_bracket
+from lpregroup.diagram import BudgetExceeded, iter_bracket
 from lpregroup.search import (NodeBudget, enumerate_compatible_surjections,
                               enumerate_partition_diagrams, fails_in)
+
+from test_decide import equations
 
 
 def conjuncts(text):
@@ -483,7 +485,8 @@ def _records(stream):
 def assert_streams_match_reference(eq, max_structured_q=6):
     table = search._point_table(eq)
     for require_failure in (False, True):
-        stream = list(search._plain_assignments(table, require_failure))
+        stream = list(search._plain_assignments(table, require_failure,
+                                                n=None))
         qs = [q for q, *_ in stream]
         assert qs == sorted(qs)
         assert _records(stream) == _records(
@@ -531,3 +534,65 @@ def small_conjuncts(draw):
 @given(small_conjuncts())
 def test_weak_order_streams_match_reference_on_draws(eq):
     assert_streams_match_reference(eq, max_structured_q=5)
+
+
+# ------------------------------------------------ shut-segment pruning
+#
+# With a period n the enumerators drop candidates by condition (iv).  The
+# unpruned stream (n=None) is the one compared with the references above;
+# here every candidate it has and the pruned stream lacks must have no
+# n-periodic embedding at the proof bound.
+
+def _until_spent(stream):
+    """The stream, cut where its node budget runs out."""
+    try:
+        yield from stream
+    except BudgetExceeded:
+        return
+
+
+def assert_pruned_only_without_embedding(eq, nodes):
+    """For both enumerators and n = 1, 2, 3, walk the failing candidates
+    that the unpruned stream yields within `nodes` nodes beside the pruned
+    stream, which must be a subsequence of it, and refute an embedding of
+    each candidate that the pruned stream skips.  The pruned walk visits
+    some of the unpruned walk's nodes in the same order, so it reaches
+    each listed candidate it keeps within as many nodes.  Returns the
+    number skipped."""
+    dropped = 0
+    for enumerate_ in (enumerate_compatible_surjections,
+                       enumerate_partition_diagrams):
+        nb = NodeBudget(nodes)
+        unpruned = list(_until_spent(
+            enumerate_(eq, require_failure=True, budget=nb)))
+        for n in (1, 2, 3):
+            pruned = _until_spent(enumerate_(
+                eq, require_failure=True, budget=NodeBudget(nb.used), n=n))
+            nxt = next(pruned, None)
+            for cand in unpruned:
+                if nxt is not None and nxt.phi == cand.phi:
+                    nxt = next(pruned, None)
+                    continue
+                dropped += 1
+                assert spacing.find_witness_embedding(
+                    cand.chain, cand.fns, n) is None, (eq, n, cand)
+            if nb.used <= nodes:  # the whole stream was walked
+                assert nxt is None
+    return dropped
+
+
+def test_pruning_drops_only_candidates_without_embedding_on_prove_rows():
+    # the benchmark's complete-mode rows that draw failing candidates;
+    # x^l x x^l x = x^l x and (x | y)^l = x^l & y^l draw none
+    dropped = 0
+    for text in ["x^(2) = x", "x y = y x", "x y x^l y^l <= 1"]:
+        for eq in conjuncts(text):
+            dropped += assert_pruned_only_without_embedding(eq, 10_000)
+    assert dropped > 0
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(equations())
+def test_pruning_drops_only_candidates_without_embedding_on_draws(text):
+    for eq in conjuncts(text):
+        assert_pruned_only_without_embedding(eq, 3_000)
