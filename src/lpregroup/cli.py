@@ -101,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--budget", type=_int_at_least(0),
                    default=oracle.DEFAULT_BUDGET,
                    help="assignments to try")
-    o.add_argument("--seed", type=int,
-                   help="RNG seed (default: LPG_SEED or 0)")
+    o.add_argument("--seed", type=int, default=0,
+                   help="RNG seed (default: 0)")
     o.set_defaults(fn=_cmd_oracle)
     return p
 
@@ -135,9 +135,14 @@ def _cmd_decide(args) -> int:
         raise _UsageError(f"--theory {args.theory} requires --n")
     with _reading_input():
         eq = term.parse(args.equation)
-        n = decide.dlp_period(eq) if args.theory == "dlp" else args.n
-    proc = decide.decide_fnz if args.theory == "fnz" else decide.decide_lpn
-    verdict = proc(eq, n, complete=args.complete, budget=args.budget)
+    if args.theory == "dlp":
+        verdict = decide.decide_dlp(eq, complete=args.complete,
+                                    budget=args.budget)
+    else:
+        proc = (decide.decide_fnz if args.theory == "fnz"
+                else decide.decide_lpn)
+        verdict = proc(eq, args.n, complete=args.complete,
+                       budget=args.budget)
     _print_json({
         "theory": args.theory,
         "n": verdict.n,
@@ -180,18 +185,15 @@ def _cmd_normalize(args) -> int:
 def _cmd_oracle(args) -> int:
     with _reading_input():
         eq = term.parse(args.equation)
-        seed = args.seed
-        if seed is None:
-            seed = int(os.environ.get("LPG_SEED", "0"))
     search = (oracle.search_counterexample_fnz if args.theory == "fnz"
               else oracle.search_counterexample_lex)
-    w = search(eq, args.n, budget=args.budget, seed=seed)
+    w = search(eq, args.n, budget=args.budget, seed=args.seed)
     _print_json({
         "theory": args.theory,
         "n": args.n,
         "equation": args.equation,
         "budget": args.budget,
-        "seed": seed,
+        "seed": args.seed,
         "witness": w.to_json() if w else None,
     })
     return 1 if w else 0

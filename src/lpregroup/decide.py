@@ -354,11 +354,6 @@ def decide_dlp(eq: Union[Equation, str], complete: bool = False,
     DLP.  A fails verdict from decide_lpn at any period also refutes the
     equation in DLP, because LP_n is contained in DLP."""
     eqobj = term.parse(eq) if isinstance(eq, str) else eq
-    return decide_lpn(eqobj, dlp_period(eqobj), complete=complete,
+    s = term.equation_size(eqobj)
+    return decide_lpn(eqobj, (1 << s) * s ** 4, complete=complete,
                       budget=budget)
-
-
-def dlp_period(eq: Equation) -> int:
-    """The period n = 2^s * s^4 that decide_dlp decides eq at."""
-    s = term.equation_size(eq)
-    return (1 << s) * s ** 4

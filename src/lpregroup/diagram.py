@@ -66,9 +66,6 @@ class CChain:
             if b != a + 1 or not 0 <= a < b < self.size:
                 raise ValueError(f"not an adjacent pair in the chain: {(a, b)}")
 
-    def points(self) -> range:
-        return range(self.size)
-
 
 @dataclass(frozen=True)
 class PartialFn:
@@ -89,9 +86,6 @@ class PartialFn:
     @classmethod
     def from_mapping(cls, m: Mapping[int, int]) -> "PartialFn":
         return cls(tuple(m.items()))
-
-    def domain(self) -> tuple[int, ...]:
-        return tuple(x for x, _ in self.pairs)
 
 
 @dataclass(frozen=True)

@@ -220,13 +220,6 @@ def _point_table(eq: IntensionalEquation,
     return pts, info, joinands, bracket_edges, by_point
 
 
-def fails_in(cand: "CompatibleSurjection | PartitionDiagram",
-             eq: IntensionalEquation) -> bool:
-    """Whether every joinand's value sits strictly below the unit's."""
-    top = cand.phi[()]
-    return all(cand.phi[point_of_word(w)] < top for w in eq.joinands)
-
-
 # ----------------------------------------------------------- weak orders
 
 class _WeakOrder:

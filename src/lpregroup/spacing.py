@@ -28,12 +28,12 @@ an explicit stack rather than in recursion.
 
 At n = 1 a function is periodic iff it is a partial translation, so two
 consecutive pairs (x1, y1), (x2, y2) need segments [x1, x2] and [y1, y2]
-of equal length.  Before the closure and before any other set-up, a
-screen (_segments_refute) tests each such equality on its own against the
-gap bounds, from prefix counts of the covers and without building a row;
-it refutes nearly every problem the deciders pose.  It stays outside the
-closure: it sees a raw row's interval contradiction that elimination can
-mix away, so it refutes some problems the closure passes to the search.
+of equal length.  The closure builds each such equality as a raw row and
+refutes the problem as soon as one cannot hold with every free gap in
+[1, cap] (_fits); it then eliminates and applies the same test to each
+reduced row.  Both passes are needed, since elimination can mix away a
+raw row's contradiction.  Before the box is built, this refutes nearly
+every problem the deciders pose.
 """
 
 from __future__ import annotations
@@ -110,49 +110,29 @@ def tighten(row, rhs: int, lo: list[int], hi: list[int]) -> bool:
     return True
 
 
-def _segments_refute(chain: CChain, fns: Collection[PartialFn],
-                     cap: Optional[int]) -> bool:
-    """The n = 1 screen: True when some function has consecutive pairs
-    (x1, y1), (x2, y2) whose segments X = [x1, x2] and Y = [y1, y2] cannot
-    get equal lengths under any embedding of height at most cap (None:
-    the proof bound rho), so the function is no partial translation.
-
-    Pairs are sorted and order-preserving, so both segments point up and
-    in the row X - Y the gaps of X \\ Y count +1, those of Y \\ X count -1
-    and the overlap cancels.  Every cover gap is exactly 1 and every free
-    gap lies in [1, cap]; with P and N free gaps of each sign, the row
-    holds only if rhs = covers(Y) - covers(X) lies in [P - N cap,
-    P cap - N].  Prefix counts of the covers make each test O(1), and no
-    row is built."""
-    if cap is None:
-        cap = rho(chain.size)
-    cov = [0] * (chain.size + 1)
-    for a, _ in chain.covers:
-        cov[a + 1] = 1
-    cov = list(itertools.accumulate(cov))  # cov[i]: cover gaps below i
-    for g in fns:
-        pairs = g.pairs
-        for (x1, y1), (x2, y2) in zip(pairs, pairs[1:]):
-            kx, ky = cov[x2] - cov[x1], cov[y2] - cov[y1]
-            lo, hi = max(x1, y1), min(x2, y2)
-            both, kboth = (hi - lo, cov[hi] - cov[lo]) if lo < hi else (0, 0)
-            p = x2 - x1 - both - (kx - kboth)
-            m = y2 - y1 - both - (ky - kboth)
-            rhs = ky - kx
-            if not p - m * cap <= rhs <= p * cap - m:
-                return True
-    return False
+def _fits(row, rhs: int, cap: int) -> bool:
+    """The interval test: whether row · gaps = rhs can hold with every
+    gap of the dense row in [1, cap].  Fixed gaps carry coefficient 0, so
+    an all-zero row fits only rhs = 0."""
+    total, size = sum(row), sum(map(abs, row))
+    # the positive coefficients sum to pos, the negative ones to -neg
+    pos, neg = (size + total) // 2, (size - total) // 2
+    return pos - cap * neg <= rhs <= cap * pos - neg
 
 
 def _translation_closure(fns, ngaps, fixed, cap):
     """Exact linear reasoning for n = 1, where a counterpart is periodic
-    iff it is a partial translation: consecutive pairs of each function
-    force segment-sum equalities over the gaps.  Integer (fraction-free)
-    elimination either refutes the system outright (rank or interval
-    contradiction) or returns its reduced rows, whose cancelled
-    combinations sharpen interval propagation far beyond the raw
-    constraints.  Returns None when refuted, else a list of integer
-    equality rows (row, rhs), each row sparse as in tighten.
+    iff it is a partial translation: consecutive pairs (x1, y1), (x2, y2)
+    of each function force the segment equality X - Y = 0 with X =
+    P(x2) - P(x1) and Y = P(y2) - P(y1), fixed gaps moved to the rhs.
+    Each such raw row must pass the interval test (_fits); then integer
+    (fraction-free) elimination reduces them, and each reduced row must
+    pass it too.  Returns None at the first row that fails, else a list
+    of integer equality rows (row, rhs), each row sparse as in tighten.
+    Both tests are needed: elimination can mix away a raw row's
+    contradiction, and its cancelled combinations expose others.  The
+    reduced rows also sharpen interval propagation far beyond the raw
+    constraints.
 
     Eliminating column col of row r with pivot row p replaces r by
     |p[col]| * r - sign(p[col]) * r[col] * p, then divides by the positive
@@ -160,24 +140,24 @@ def _translation_closure(fns, ngaps, fixed, cap):
     the row that elimination over the rationals would give, with the same
     zero pattern, so pivots, row swaps and refutations are the same as
     there.  Scaling a row and its rhs by lambda > 0 changes neither the
-    interval refutation nor tighten, since floor(lambda s / (lambda c)) =
+    interval test nor tighten, since floor(lambda s / (lambda c)) =
     floor(s / c)."""
     rows = []
     for g in fns:
         for (x1, y1), (x2, y2) in zip(g.pairs, g.pairs[1:]):
             row = [0] * ngaps
-            for k in range(min(x1, x2), max(x1, x2)):
-                row[k] += 1 if x2 > x1 else -1
-            for k in range(min(y1, y2), max(y1, y2)):
-                row[k] -= 1 if y2 > y1 else -1
+            for k, c in _segment(x2, x1):
+                row[k] += c
+            for k, c in _segment(y2, y1):
+                row[k] -= c
             rhs = 0
             for k in fixed:
                 rhs -= row[k]
                 row[k] = 0
+            if not _fits(row, rhs, cap):
+                return None
             if any(row):
                 rows.append((row, rhs))
-            elif rhs:
-                return None
     piv = 0
     for col in range(ngaps):
         if col in fixed:
@@ -203,17 +183,10 @@ def _translation_closure(fns, ngaps, fixed, cap):
         piv += 1
     out = []
     for row, rhs in rows:
-        if not any(row):
-            if rhs:
-                return None
-            continue
-        irow = [(k, c) for k, c in enumerate(row) if c]
-        # sound interval refutation: every non-fixed gap lies in [1, cap]
-        low = sum(c * (1 if c > 0 else cap) for _, c in irow)
-        high = sum(c * (cap if c > 0 else 1) for _, c in irow)
-        if not low <= rhs <= high:
+        if not _fits(row, rhs, cap):
             return None
-        out.append((irow, rhs))
+        if any(row):
+            out.append(([(k, c) for k, c in enumerate(row) if c], rhs))
     return out
 
 
@@ -244,18 +217,13 @@ def find_witness_embedding(chain: CChain,
     propagation (tighten) over the gap domains prunes the search: each
     box popped off a stack spends one node and one pass, and its first
     free gap is bisected or enumerated, lower values first.  At
-    n = 1 two sound refutations run first, each returning None: the
-    segment screen (_segments_refute), which tests each consecutive pair
-    of pairs on its own before any set-up, then the translation closure
-    (_translation_closure), which eliminates over all of them and hands
-    its reduced rows to the search.
+    n = 1 the translation closure (_translation_closure) runs first: it
+    returns None when some segment equality, raw or reduced, cannot hold
+    with every free gap in [1, cap], and otherwise hands its reduced rows
+    to the search.
     """
     if isinstance(fns, Mapping):
         fns = fns.values()
-    # the screen refutes nearly every problem of the deciders, so it runs
-    # before any other set-up
-    if n == 1 and _segments_refute(chain, fns, cap):
-        return None
     fns = list(fns)
     if cap is None:
         cap = complete_cap(chain.size, n)
@@ -263,8 +231,8 @@ def find_witness_embedding(chain: CChain,
     if ngaps == 0:
         return SpacingEmbedding(chain, (0,))
 
-    # the closure refutes most problems the screen passes, so it runs
-    # before any row is built
+    # the closure refutes nearly every problem of the deciders, so it
+    # runs before any row is built
     closure = []
     if n == 1:
         fixed = {b - 1 for a, b in chain.covers}

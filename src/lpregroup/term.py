@@ -451,18 +451,6 @@ def point_of_word(w: Word) -> Point:
     return tuple(("app", name, m) for name, m in w)
 
 
-def point_str(p: Point) -> str:
-    if not p:
-        return "1"
-    bits = []
-    for op in p:
-        if op[0] == "app":
-            bits.append(literal_str((op[1], op[2])))
-        else:
-            bits.append("+" if op[1] > 0 else "-")
-    return " ".join(bits).replace("+ ", "+").replace("- ", "-")
-
-
 def _decorated_family(name: str, m: int, base: Point) -> Iterator[Point]:
     """The decorated approach-words for one literal x^(m) acting on a base
     point: for every tail j..|m| of the exponent ladder and every choice of

@@ -110,12 +110,7 @@ def test_oracle_hit_and_miss(capsys):
     assert json.loads(out)["witness"] is None
 
 
-def test_oracle_seed_from_env(capsys, monkeypatch):
-    monkeypatch.setenv("LPG_SEED", "17")
-    code, out, _ = run(capsys, "oracle", "--theory", "fnz", "--n", "1",
-                       "--budget", "10", "1 <= x")
-    assert json.loads(out)["seed"] == 17
-    # explicit flag wins
+def test_oracle_seed_flag(capsys):
     code, out, _ = run(capsys, "oracle", "--theory", "fnz", "--n", "1",
                        "--budget", "10", "--seed", "3", "1 <= x")
     assert json.loads(out)["seed"] == 3

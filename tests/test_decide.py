@@ -81,10 +81,9 @@ def test_valid_with_refutations():
 ])
 def test_segment_screen_refutes_before_any_embedding_node(eq, candidates,
                                                           nodes):
-    # at n=1 the segment-length screen or the translation closure refutes
-    # every candidate that the enumeration's shut-segment test leaves, so
-    # no embedding search spends a node (the DFS spent 9 on x y = y x
-    # before the screen)
+    # at n=1 the segment equalities of the translation closure, raw or
+    # reduced, refute every candidate that the enumeration's shut-segment
+    # test leaves, so no embedding search spends a node
     v = decide.decide_fnz(eq, 1, complete=True)
     assert v.status == VALID
     s = v.stats

@@ -50,7 +50,6 @@ def test_partial_fn_validation():
         PartialFn(((0, 2), (1, 1)))     # order violated
     with pytest.raises(ValueError):
         PartialFn(((0, 2), (0, 3)))     # two values at one point
-    assert PartialFn(((2, 2), (0, 1))).domain() == (0, 2)
 
 
 def test_chain_validation():
@@ -58,7 +57,6 @@ def test_chain_validation():
         CChain(3, frozenset({(0, 2)}))
     with pytest.raises(ValueError):
         CChain(2, frozenset({(1, 2)}))
-    assert list(CChain(3).points()) == [0, 1, 2]
 
 
 def test_embedding_validation():

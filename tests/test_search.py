@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from lpregroup import search, spacing, term
 from lpregroup.diagram import BudgetExceeded, iter_bracket
 from lpregroup.search import (NodeBudget, enumerate_compatible_surjections,
-                              enumerate_partition_diagrams, fails_in)
+                              enumerate_partition_diagrams)
 
 from test_decide import equations
 
@@ -20,6 +20,12 @@ def conjuncts(text):
 
 def conjunct(text, i=0):
     return conjuncts(text)[i]
+
+
+def fails_in(cand, eq):
+    """Whether every joinand's value sits strictly below the unit's."""
+    top = cand.phi[()]
+    return all(cand.phi[term.point_of_word(w)] < top for w in eq.joinands)
 
 
 def sorted_points(eq):

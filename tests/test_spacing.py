@@ -1,9 +1,8 @@
 """Tests for chain re-spacing: the height bounds, the short re-spacings
 of the bounds module (pinned on literal chains and checked for transfer),
-box propagation, the witness embedding search against brute force, the
-n = 1 segment screen against brute force and against an embedding's own
-shifts, and the n = 1 translation closure against elimination over
-Fractions."""
+box propagation, the witness embedding search against brute force, and
+the n = 1 translation closure against brute force, against an
+embedding's own shifts and against elimination over Fractions."""
 
 import itertools
 import math
@@ -315,20 +314,33 @@ def test_witness_matches_bruteforce(instance):
         assert gaps == expect
 
 
-# ----------------------------------------------------- segment screen
+# ---------------------------------------------------- translation closure
+
+def closure_refutes(chain, fns, cap):
+    fixed = {b - 1 for _, b in chain.covers}
+    return spacing._translation_closure(fns, chain.size - 1, fixed,
+                                        cap) is None
+
+
+# a raw row refutes (gaps 2 and 3 must sum to the cover gap 0), but
+# elimination mixes it into rows that each fit the box at every cap >= 2
+RAW_ONLY_REFUTATION = (CChain(6, frozenset({(0, 1), (1, 2)})),
+                       [PartialFn.from_mapping({2: 0, 4: 1, 5: 3})], 1)
+
 
 @settings(max_examples=300, deadline=None)
 @given(witness_instances(max_size=6, max_fns=3, max_n=1), st.integers(1, 12))
-def test_segment_screen_refutes_only_without_witness(instance, cap):
+@example(RAW_ONLY_REFUTATION, 12)
+def test_translation_closure_refutes_only_without_witness(instance, cap):
     chain, fns, _ = instance
-    if spacing._segments_refute(chain, fns, cap):
+    if closure_refutes(chain, fns, cap):
         assert oracle_witness_gaps(chain, fns, 1, cap) is None
         assert find_witness_embedding(chain, fns, 1, cap=cap) is None
 
 
 @settings(max_examples=150, deadline=None)
 @given(embedded_chains())
-def test_segment_screen_passes_an_embeddings_own_shifts(e):
+def test_translation_closure_passes_an_embeddings_own_shifts(e):
     # each shift c realized in the positions is a partial translation
     # of the chain, and the embedding itself makes all of them one
     index = {p: i for i, p in enumerate(e.positions)}
@@ -336,15 +348,19 @@ def test_segment_screen_passes_an_embeddings_own_shifts(e):
                                       for i, p in enumerate(e.positions)
                                       if p + c in index})
               for c in range(e.height + 1)]
-    for cap in (e.height, None):
-        assert not spacing._segments_refute(e.chain, shifts, cap)
+    for cap in (e.height, spacing.complete_cap(e.chain.size, 1)):
+        assert not closure_refutes(e.chain, shifts, cap)
 
-
-# ---------------------------------------------------- translation closure
 
 def _fraction_closure(fns, ngaps, fixed, cap):
     """The closure by Gaussian elimination over Fractions, kept as the
-    reference for the integer elimination in spacing._translation_closure."""
+    reference for the integer elimination in spacing._translation_closure,
+    with the same interval test on the raw and the reduced rows."""
+    def fits(row, rhs):
+        low = sum(c if c > 0 else cap * c for c in row)
+        high = sum(cap * c if c > 0 else c for c in row)
+        return low <= rhs <= high
+
     rows = []
     for g in fns:
         pairs = sorted(g.pairs)
@@ -358,10 +374,10 @@ def _fraction_closure(fns, ngaps, fixed, cap):
             for k in fixed:
                 rhs -= row[k]
                 row[k] = Fraction(0)
+            if not fits(row, rhs):
+                return None
             if any(row):
                 rows.append((row, rhs))
-            elif rhs:
-                return None
     piv = 0
     for col in range(ngaps):
         if col in fixed:
@@ -379,24 +395,19 @@ def _fraction_closure(fns, ngaps, fixed, cap):
         piv += 1
     out = []
     for row, rhs in rows:
+        if not fits(row, rhs):
+            return None
         if not any(row):
-            if rhs:
-                return None
             continue
         scale = math.lcm(*(c.denominator for c in row + [rhs]))
-        irow = [(k, int(c * scale)) for k, c in enumerate(row) if c]
-        irhs = int(rhs * scale)
-        # sound interval refutation: every non-fixed gap lies in [1, cap]
-        low = sum(c * (1 if c > 0 else cap) for _, c in irow)
-        high = sum(c * (cap if c > 0 else 1) for _, c in irow)
-        if not low <= irhs <= high:
-            return None
-        out.append((irow, irhs))
+        out.append(([(k, int(c * scale)) for k, c in enumerate(row) if c],
+                    int(rhs * scale)))
     return out
 
 
 @settings(max_examples=300, deadline=None)
 @given(witness_instances(max_size=7, max_fns=3, max_n=1), st.integers(1, 12))
+@example(RAW_ONLY_REFUTATION, 12)
 def test_translation_closure_matches_fraction_reference(instance, small_cap):
     chain, fns, _ = instance
     ngaps = chain.size - 1

@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 from lpregroup import fnz, term
 from lpregroup.term import (Equation, IntensionalEquation, Inv, Join, Meet,
                             ParseError, Prod, Unit, Var, delta_epsilon,
-                            final_subwords, parse, point_of_word, point_str,
-                            to_intensional)
+                            final_subwords, literal_str, parse,
+                            point_of_word, to_intensional)
 
 from test_fnz import periodic_fns
 
@@ -263,6 +263,12 @@ def test_final_subwords_multiple_joinands():
 
 
 # --------------------------------------------------------------- Delta set
+
+def point_str(p):
+    bits = [literal_str(op[1:]) if op[0] == "app" else "+-"[op[1] < 0]
+            for op in p]
+    return " ".join(bits).replace("+ ", "+").replace("- ", "-") or "1"
+
 
 def point_set_strs(eq_text):
     conjs = to_intensional(parse(eq_text))
