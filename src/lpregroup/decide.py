@@ -3,11 +3,10 @@
 Three entry points, one per theory:
 
 - decide_fnz: validity over the algebra of n-periodic functions on the
-  integer chain.  The search runs over compatible surjections; a failing
-  one plus a spacing embedding realizes concrete functions.
+  integer chain.  A failing one-block diagram plus a spacing embedding
+  realizes concrete functions.
 - decide_lpn: validity in the variety of n-periodic l-pregroups.  Same
-  shape, but the candidates are block-grid diagrams, each carrying its
-  slot chain and per-block slot functions, the embedding is shared
+  shape, but a diagram may have many blocks, the embedding is shared
   across blocks, and the witness lives on the lexicographic chain Q x Z.
 - decide_dlp: validity in distributive l-pregroups, by reduction to
   decide_lpn at an exactly computed period.  LP_n is contained in DLP,
@@ -51,8 +50,7 @@ from . import fnz, lexfn, spacing, term
 from .diagram import BudgetExceeded, NodeBudget, PartialFn, SpacingEmbedding
 from .fnz import PeriodicFn
 from .lexfn import LexFn, PLBijection
-from .search import (CompatibleSurjection, PartitionDiagram,
-                     enumerate_compatible_surjections,
+from .search import (PartitionDiagram, enumerate_compatible_surjections,
                      enumerate_partition_diagrams)
 from .term import Equation, IntensionalEquation, point_of_word, word_str
 
@@ -181,11 +179,11 @@ def _check_realized(eq: IntensionalEquation, fns, p, ev, want_at
     return tuple(checked)
 
 
-def realize_fnz_witness(cs: CompatibleSurjection, e: SpacingEmbedding,
+def realize_fnz_witness(pd: PartitionDiagram, e: SpacingEmbedding,
                         eq: IntensionalEquation, n: int,
                         names: list[str]) -> Witness:
     """Concrete n-periodic functions on Z, one per name in names, from a
-    failing compatible surjection and a spacing embedding of its chain.
+    failing one-block diagram and a spacing embedding of its chain.
 
     Each variable's counterpart pairs are pushed through the embedding and
     extended periodically; variables with no pairs (among them those that
@@ -193,11 +191,11 @@ def realize_fnz_witness(cs: CompatibleSurjection, e: SpacingEmbedding,
     checked against the diagram, final subword by final subword."""
     fns = {}
     for name in names:
-        g = cs.fns.get(name, PartialFn(()))
+        _, g = pd.blocks.get(name, {}).get(0, (0, PartialFn(())))
         fns[name] = fnz.extend_partial({e(x): e(y) for x, y in g.pairs}, n)
-    p = e(cs.phi[()])
+    p = e(pd.phi[()][1])
     checked = _check_realized(eq, fns, p, fnz.eval_word,
-                              lambda pt: e(cs.phi[pt]))
+                              lambda pt: e(pd.phi[pt][1]))
     return Witness("FnZ", n, fns, p, 0, checked)
 
 

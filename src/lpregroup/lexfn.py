@@ -162,10 +162,6 @@ class LexFn:
         return tuple(j for j, _ in self.components)
 
 
-def identity(n: int) -> LexFn:
-    return LexFn(n)
-
-
 def eval(f: LexFn, p: tuple[Rational, int]) -> Point:
     j, r = p
     return (f.tilde(j), fnz.eval(f.component(j), r))

@@ -63,6 +63,10 @@ partition stream is the plain stream composed with these structurings.
 Each diagram is built straight from its structuring as the embedding
 problem it poses: the slot chain shared by all blocks and, per variable
 and block, the image block and the slot function.
+
+Both deciders read one candidate type, PartitionDiagram.  An fnz
+candidate is a one-block diagram (F_n(Z) is the fiber {0} x Z of Q x Z),
+whose structuring involves no choice and so spends no node.
 """
 
 from __future__ import annotations
@@ -76,22 +80,12 @@ from .term import IntensionalEquation, Point, delta_epsilon, point_of_word
 
 
 @dataclass
-class CompatibleSurjection:
-    """Onto map from the termination points to a finite chain, satisfying
-    conditions (i)-(iii), with the induced covers and partial functions."""
-
-    phi: dict[Point, int]
-    chain: CChain
-    fns: dict[str, PartialFn]
-
-
-@dataclass
 class PartitionDiagram:
-    """Block-grid counterpart: phi sends each point to a (block, slot)
-    pair, chain is the slot chain shared by all blocks (a cover wherever
-    some block has one), and blocks sends each variable's name to its
-    blocks j, each with its image block k and its slot function there.
-    The block-level shadow j -> k is a partial injection."""
+    """A candidate of either decider: phi sends each point to a (block,
+    slot) pair, chain is the slot chain shared by all blocks (a cover
+    wherever some block has one), and blocks sends each variable's name
+    to its blocks j, each with its image block k and its slot function
+    there.  The block-level shadow j -> k is a partial injection."""
 
     phi: dict[Point, tuple[int, int]]
     chain: CChain
@@ -127,10 +121,13 @@ def _point_table(eq: IntensionalEquation,
     assignment.
 
     Points are ordered so every assignment is as constrained as possible
-    when made: after a point is placed, its cover mates (forced values)
-    and plain applications (pinned by order preservation) come first, and
-    otherwise the free inverse applications with the most already-placed
-    sandwich partners.  Parents always precede children.
+    when made: cover mates (forced values) first, then plain applications
+    (pinned by order preservation), then inverse applications, sandwich
+    ends before the rest.  A sandwich joins U to a point two or three
+    levels below it, so U is placed first and an end becomes eligible
+    with exactly one placed partner: the key (rank, -(p in ends), len, p)
+    is fixed when a point becomes eligible.  Parents always precede
+    children.
 
     The point set, the table and the enumerator's per-point bounds grow
     with 2^|m|, so each point costs one node of budget, spent as the point
@@ -146,6 +143,7 @@ def _point_table(eq: IntensionalEquation,
         return "app0" if p[0][2] == 0 else "app"
 
     sw_pts = []  # (a, b, strict): value(a) < value(b), or <= if not
+    ends: set[Point] = set()  # each sandwich's point below its parent
     for c in pts0:
         if op_kind(c) != "app":
             continue
@@ -154,47 +152,30 @@ def _point_table(eq: IntensionalEquation,
         if m > 0:
             lo = (("app", name, m - 1), ("cov", -1)) + c
             hi = (("app", name, m - 1),) + c
-            sw_pts.append((lo, parent, True))
-            sw_pts.append((parent, hi, False))
         else:
             lo = (("app", name, m + 1),) + c
             hi = (("app", name, m + 1), ("cov", +1)) + c
-            sw_pts.append((lo, parent, False))
-            sw_pts.append((parent, hi, True))
-    partners: dict[Point, set[Point]] = {}
-    for a, b, _ in sw_pts:
-        partners.setdefault(a, set()).add(b)
-        partners.setdefault(b, set()).add(a)
+        sw_pts += [(lo, parent, m > 0), (parent, hi, m < 0)]
+        ends |= {lo, hi}
 
-    # the point placed next is the eligible one (parent placed) with the
-    # least (rank, -placed partners, len, p); a heap holds each eligible
-    # point at its current key, and entries left behind when a partner's
-    # placement lowered the key are skipped once the point is placed
+    # the next point is the eligible one (parent placed) with the least
+    # key; each point enters the heap once, when its parent is placed
     rank = {"cov": 0, "app0": 1, "app": 2, "unit": 3}
     children: dict[Point, list[Point]] = {}
     for p in pts0:
         if p:
             children.setdefault(p[1:], []).append(p)
-    placed_partners = dict.fromkeys(pts0, 0)
-    placed: set[Point] = set()
     pts = []
 
     def key(p: Point):
-        return rank[op_kind(p)], -placed_partners[p], len(p), p
+        return rank[op_kind(p)], -(p in ends), len(p), p
 
     heap = [key(())]
     while heap:
         p = heapq.heappop(heap)[-1]
-        if p in placed:
-            continue
         pts.append(p)
-        placed.add(p)
         for c in children.get(p, ()):
             heapq.heappush(heap, key(c))
-        for r in partners.get(p, ()):
-            placed_partners[r] += 1
-            if r not in placed and r[1:] in placed:
-                heapq.heappush(heap, key(r))
 
     index = {p: i for i, p in enumerate(pts)}
     info = []
@@ -435,19 +416,14 @@ def enumerate_compatible_surjections(
         eq: IntensionalEquation,
         require_failure: bool = False,
         budget: Optional[NodeBudget] = None,
-        n: Optional[int] = None) -> Iterator[CompatibleSurjection]:
-    """All compatible surjections onto 0..q-1, q ascending.  With
-    require_failure, prune to assignments that put every joinand strictly
-    below the unit.  With a period n, also prune to assignments that pass
-    condition (iv), so that only surjections with no n-periodic spacing
-    embedding are dropped."""
-    table = _point_table(eq, budget)
-    for q, values, covers, fns in _plain_assignments(table, require_failure,
-                                                     budget, n):
-        phi = {p: values[i] for i, p in enumerate(table[0])}
-        yield CompatibleSurjection(
-            phi, CChain(q, frozenset(covers)),
-            {name: PartialFn.from_mapping(g) for name, g in fns.items()})
+        n: Optional[int] = None) -> Iterator[PartitionDiagram]:
+    """All compatible surjections onto 0..q-1, q ascending, as one-block
+    diagrams: phi sends a point to (0, value).  With require_failure,
+    prune to assignments that put every joinand strictly below the unit.
+    With a period n, also prune to assignments that pass condition (iv),
+    so that only surjections with no n-periodic spacing embedding are
+    dropped."""
+    return _diagrams(eq, require_failure, budget, n, _one_block)
 
 
 # -------------------------------------------------- block grid enumeration
@@ -502,29 +478,22 @@ def _structurings(q: int, covers, fns,
     yield from _depth_first(q, options, put, wo.take, leaf, budget)
 
 
-def enumerate_partition_diagrams(
-        eq: IntensionalEquation,
-        require_failure: bool = False,
-        budget: Optional[NodeBudget] = None,
-        n: Optional[int] = None) -> Iterator[PartitionDiagram]:
-    """All block-grid diagrams, each exactly once.
+def _one_block(q: int, covers, fns, budget: Optional[NodeBudget] = None):
+    """The chain 0..q-1 as a single block: no choice, so no node."""
+    return [([0] * q, range(q), 1, q)]
 
-    Ranking the occupied cells of a grid diagram flattens it to a plain
-    compatible surjection with the same covers, functions, and order
-    relations (covers stay adjacent because nothing sits between two
-    cells of one cover, and brackets only compare occupied cells), and
-    the diagram is recovered from that surjection by a unique
-    structuring.  So the stream is: every compatible surjection, lifted
-    through every structuring of its chain.  Blocks and slots are named
-    by their final ranks, and each cover of the surjection becomes a
-    cover of the slot chain.  A period n prunes as in
-    enumerate_compatible_surjections: no structuring of a dropped
-    surjection has a shared n-periodic slot embedding (module
-    docstring)."""
+
+def _diagrams(eq: IntensionalEquation, require_failure: bool,
+              budget: Optional[NodeBudget], n: Optional[int],
+              structurings) -> Iterator[PartitionDiagram]:
+    """Every plain assignment, lifted through every structuring of its
+    chain that structurings(q, covers, fns, budget) yields, as the
+    diagram it poses.  Blocks and slots are named by their final ranks,
+    and each cover of the assignment becomes a cover of the slot chain."""
     table = _point_table(eq, budget)
     for q, values, covers, fns in _plain_assignments(table, require_failure,
                                                      budget, n):
-        for blk, slt, _, d in _structurings(q, covers, fns, budget):
+        for blk, slt, _, d in structurings(q, covers, fns, budget):
             phi = {p: (blk[values[i]], slt[values[i]])
                    for i, p in enumerate(table[0])}
             slot_covers = set()
@@ -541,3 +510,23 @@ def enumerate_partition_diagrams(
                                 for j, (k, h) in per.items()}
             yield PartitionDiagram(phi, CChain(d, frozenset(slot_covers)),
                                    blocks)
+
+
+def enumerate_partition_diagrams(
+        eq: IntensionalEquation,
+        require_failure: bool = False,
+        budget: Optional[NodeBudget] = None,
+        n: Optional[int] = None) -> Iterator[PartitionDiagram]:
+    """All block-grid diagrams, each exactly once.
+
+    Ranking the occupied cells of a grid diagram flattens it to a plain
+    compatible surjection with the same covers, functions, and order
+    relations (covers stay adjacent because nothing sits between two
+    cells of one cover, and brackets only compare occupied cells), and
+    the diagram is recovered from that surjection by a unique
+    structuring.  So the stream is: every compatible surjection, lifted
+    through every structuring of its chain.  A period n prunes as in
+    enumerate_compatible_surjections: no structuring of a dropped
+    surjection has a shared n-periodic slot embedding (module
+    docstring)."""
+    return _diagrams(eq, require_failure, budget, n, _structurings)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Collection, Mapping, Optional
+from typing import Collection, Optional
 
 from . import fnz
 from .diagram import CChain, NodeBudget, PartialFn, SpacingEmbedding
@@ -191,8 +191,7 @@ def _translation_closure(fns, ngaps, fixed, cap):
 
 
 def find_witness_embedding(chain: CChain,
-                           fns: Mapping[str, PartialFn]
-                           | Collection[PartialFn],
+                           fns: Collection[PartialFn],
                            n: int,
                            cap: Optional[int] = None,
                            node_budget: Optional[NodeBudget] = None
@@ -209,7 +208,7 @@ def find_witness_embedding(chain: CChain,
     the NodeBudget of the whole decision, which raises BudgetExceeded once
     it runs out.
 
-    fns is a mapping or a collection, since it is read more than once.
+    fns is a collection, since it is read more than once.
 
     n-periodicity of a counterpart is the pairwise condition
     ceil((e(y)-e(y'))/n) <= ceil((e(x)-e(x'))/n) over pairs (x,y), (x',y')
@@ -222,9 +221,6 @@ def find_witness_embedding(chain: CChain,
     with every free gap in [1, cap], and otherwise hands its reduced rows
     to the search.
     """
-    if isinstance(fns, Mapping):
-        fns = fns.values()
-    fns = list(fns)
     if cap is None:
         cap = complete_cap(chain.size, n)
     ngaps = chain.size - 1

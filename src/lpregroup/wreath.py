@@ -63,10 +63,6 @@ class WreathElement:
         return (self.h + j, fnz.eval(self.comp(j), m))
 
 
-def identity(n: int) -> WreathElement:
-    return WreathElement(n)
-
-
 def _check(a: WreathElement, b: WreathElement):
     if a.n != b.n:
         raise ValueError(f"period mismatch: {a.n} != {b.n}")

@@ -185,7 +185,7 @@ def test_failed_reverification_raises_under_optimize():
 def test_verify_rejects_identity_assignment():
     w = Witness("FnZ", 2, {"x": fnz.id_fn(2)}, 0)
     assert not verify_witness("1 <= x", w)
-    wl = Witness("FnQxZ", 1, {"x": lexfn.identity(1)}, (0, 0))
+    wl = Witness("FnQxZ", 1, {"x": lexfn.LexFn(1)}, (0, 0))
     assert not verify_witness("1 <= x", wl)
 
 
@@ -197,7 +197,7 @@ def test_verify_requires_all_variables():
 
 def test_verify_rejects_mismatched_period():
     # a 2-periodic function on Q x Z is no witness at period 1
-    w = Witness("FnQxZ", 1, {"x": lexfn.identity(2)}, (0, 0))
+    w = Witness("FnQxZ", 1, {"x": lexfn.LexFn(2)}, (0, 0))
     with pytest.raises(ValueError, match="period"):
         verify_witness("1 <= x", w)
 

@@ -105,7 +105,7 @@ def test_pl_json_roundtrip(f):
 # ------------------------------------------------------------------ LexFn
 
 def test_eval_identity():
-    f = lexfn.identity(2)
+    f = LexFn(2)
     assert lexfn.eval(f, (Fraction(1, 2), 3)) == (Fraction(1, 2), 3)
 
 

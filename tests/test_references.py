@@ -12,6 +12,11 @@ references catch that:
 - The inclusions of the paper: F_n(Z) lies in LP_n, and LP_n in LP_m
   (F_n(Z) in F_m(Z)) when n divides m.  So valid in lpn at n implies
   valid in fnz at n, and valid at m implies valid at n in either theory.
+
+The inclusion F_n(Z) in LP_n is strict at n = 1 (commutativity).  At
+n = 2, 1 <= y^(-1) x^(1) | y x fails in lpn with a verified witness,
+while neither the oracle nor the capped fnz decider refutes it in
+F_2(Z): an lpn decider that collapsed to fnz would not fail it.
 """
 
 import sys
@@ -20,7 +25,7 @@ from pathlib import Path
 
 from hypothesis import given, settings
 
-from lpregroup import decide, term
+from lpregroup import decide, oracle, term
 from lpregroup.decide import FAILS, VALID
 
 from test_decide import equations
@@ -108,3 +113,15 @@ def test_inclusions_between_the_theories():
                                      f"fails in {t2} at {n2}")
             checked += premise == VALID and conclusion == VALID
     assert checked > 100
+
+
+def test_lpn_does_not_collapse_to_fnz_at_period_two():
+    eq = "1 <= y^(-1) x^(1) | y x"
+    lpn = decide.decide_lpn(eq, 2, budget=20_000)
+    assert lpn.status == FAILS and lpn.witness.space == "FnQxZ"
+    assert decide.verify_witness(eq, lpn.witness)
+    # valid at n = 1, as the inclusion of F_1(Z) in F_2(Z) requires, and
+    # neither the oracle nor the capped decider finds an F_2(Z) witness
+    assert decide.decide_fnz(eq, 1, complete=True).status == VALID
+    assert oracle.search_counterexample_fnz(eq, 2, budget=20_000) is None
+    assert decide.decide_fnz(eq, 2, budget=20_000).status != FAILS

@@ -1,6 +1,7 @@
 """Enumeration tests: the guided searches must agree exactly with brute
 force over all onto assignments checked straight from the definitions."""
 
+import heapq
 import itertools
 from typing import Iterator, Optional
 
@@ -116,7 +117,7 @@ def engine_surjections(eq):
     pts = sorted_points(eq)
     out = []
     for cs in enumerate_compatible_surjections(eq):
-        out.append((cs.chain.size, tuple(cs.phi[p] for p in pts)))
+        out.append((cs.chain.size, tuple(cs.phi[p][1] for p in pts)))
     return out
 
 
@@ -180,7 +181,7 @@ def test_failing_surjections_for_one_leq_x():
     assert len(failing) == 1
     cs = failing[0]
     assert fails_in(cs, eq)
-    assert cs.chain.size == 2 and cs.phi[()] == 1
+    assert cs.chain.size == 2 and cs.phi[()][1] == 1
 
 
 def test_require_failure_equals_filtered_stream():
@@ -540,6 +541,114 @@ def small_conjuncts(draw):
 @given(small_conjuncts())
 def test_weak_order_streams_match_reference_on_draws(eq):
     assert_streams_match_reference(eq, max_structured_q=5)
+
+
+# --------------------------------------------------------- point order
+#
+# _point_table orders the points by a key fixed when each point becomes
+# eligible.  The reference below is the order as it was first written:
+# each point's key counted its sandwich partners placed so far, and a
+# partner's placement re-pushed the point at its lowered key.
+
+def _point_order_by_rekeying(eq):
+    points = term.delta_epsilon(eq)
+    pts0 = sorted(points, key=lambda p: (len(p), p))
+
+    def op_kind(p):
+        if not p:
+            return "unit"
+        if p[0][0] == "cov":
+            return "cov"
+        return "app0" if p[0][2] == 0 else "app"
+
+    partners = {}
+    for c in pts0:
+        if op_kind(c) != "app":
+            continue
+        _, name, m = c[0]
+        parent = c[1:]
+        if m > 0:
+            lo = (("app", name, m - 1), ("cov", -1)) + c
+            hi = (("app", name, m - 1),) + c
+        else:
+            lo = (("app", name, m + 1),) + c
+            hi = (("app", name, m + 1), ("cov", +1)) + c
+        for end in (lo, hi):
+            partners.setdefault(end, set()).add(parent)
+            partners.setdefault(parent, set()).add(end)
+
+    rank = {"cov": 0, "app0": 1, "app": 2, "unit": 3}
+    children = {}
+    for p in pts0:
+        if p:
+            children.setdefault(p[1:], []).append(p)
+    placed_partners = dict.fromkeys(pts0, 0)
+    placed = set()
+    pts = []
+
+    def key(p):
+        return rank[op_kind(p)], -placed_partners[p], len(p), p
+
+    heap = [key(())]
+    while heap:
+        p = heapq.heappop(heap)[-1]
+        if p in placed:
+            continue
+        pts.append(p)
+        placed.add(p)
+        for c in children.get(p, ()):
+            heapq.heappush(heap, key(c))
+        for r in partners.get(p, ()):
+            placed_partners[r] += 1
+            if r not in placed and r[1:] in placed:
+                heapq.heappush(heap, key(r))
+    return pts
+
+
+def assert_point_order_fixed(eq):
+    """The table's order is the re-keying reference's, and every sandwich
+    joins a point to a descendant two or three levels below it, placed
+    after it."""
+    pts, _, _, _, by_point = search._point_table(eq)
+    assert pts == _point_order_by_rekeying(eq)
+    pairs = {con for cons in by_point.values() for con in cons}
+    assert pairs
+    for a, b, _ in pairs:
+        top, low = sorted((a, b), key=lambda i: len(pts[i]))
+        depth = len(pts[low]) - len(pts[top])
+        assert depth in (2, 3), (pts[a], pts[b])
+        assert pts[low][depth:] == pts[top]
+        assert top < low
+
+
+def test_point_order_matches_rekeying_on_corpus():
+    checked = 0
+    for text in _CORPUS:
+        for eq in conjuncts(text):
+            if any(m for w in eq.joinands for _, m in w):
+                assert_point_order_fixed(eq)
+                checked += 1
+    assert checked >= 15
+
+
+@st.composite
+def inverse_conjuncts(draw):
+    literal = st.tuples(st.sampled_from("xyz"), st.integers(-4, 4))
+    words = draw(st.lists(st.lists(literal, min_size=1, max_size=3),
+                          min_size=1, max_size=2))
+    assume(any(m for w in words for _, m in w))
+    rhs = " | ".join(" ".join(f"{v}^({m})" for v, m in w) for w in words)
+    eqs = [eq for eq in conjuncts(f"1 <= {rhs}")
+           if any(m for w in eq.joinands for _, m in w)]
+    assume(eqs)
+    return draw(st.sampled_from(eqs))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(inverse_conjuncts())
+def test_point_order_matches_rekeying_on_draws(eq):
+    assert_point_order_fixed(eq)
 
 
 # ------------------------------------------------ shut-segment pruning

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from lpregroup import fnz, lexfn, wreath
 from lpregroup.fnz import tabulated
 from lpregroup.wreath import (
-    WreathElement, identity, iso_from_lexfn, iso_to_lexfn, iter_inv,
+    WreathElement, iso_from_lexfn, iso_to_lexfn, iter_inv,
     join, leq, linv, meet, multiply, rinv,
 )
 
@@ -40,7 +40,7 @@ points = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 # ----------------------------------------------------------------- monoid
 
 def test_identity_laws():
-    e = identity(2)
+    e = WreathElement(2)
     a = WreathElement(2, 3, ((0, tabulated(2, (1, 2))),))
     assert multiply(e, a) == a
     assert multiply(a, e) == a
@@ -115,14 +115,14 @@ def test_distributivity(a, b, c):
 # --------------------------------------------------------------- inverses
 
 def test_linv_identity():
-    assert linv(identity(3)) == identity(3)
-    assert rinv(identity(3)) == identity(3)
+    assert linv(WreathElement(3)) == WreathElement(3)
+    assert rinv(WreathElement(3)) == WreathElement(3)
 
 
 @settings(max_examples=200, deadline=None)
 @given(elements())
 def test_pregroup_inequalities(a):
-    e = identity(a.n)
+    e = WreathElement(a.n)
     assert leq(multiply(linv(a), a), e)
     assert leq(e, multiply(a, linv(a)))
     assert leq(multiply(a, rinv(a)), e)
@@ -175,8 +175,8 @@ def test_periodicity_needs_matching_components():
 # -------------------------------------------------------------- transport
 
 def test_iso_identity():
-    assert iso_to_lexfn(identity(2)) == lexfn.identity(2)
-    assert iso_from_lexfn(lexfn.identity(2)) == identity(2)
+    assert iso_to_lexfn(WreathElement(2)) == lexfn.LexFn(2)
+    assert iso_from_lexfn(lexfn.LexFn(2)) == WreathElement(2)
 
 
 @settings(max_examples=200, deadline=None)
