@@ -36,6 +36,28 @@ whose search already ran without finding a witness: a witness would
 have ended the run.  Nothing found is ever renamed, so a fails verdict
 names the conjunct its witness was realized for, and verify_witness
 still accepts a witness for the skipped one.
+
+Before its search, each conjunct gets two rewrites, both sound in
+every n-periodic l-pregroup, so in F_n(Z) and in LP_n:
+
+- every exponent m with |m| > n becomes its representative mod 2n in
+  (-n, n] (term.reduce_exponents).  x^(2n) = x holds in every
+  n-periodic l-pregroup, so the rewritten conjunct is the same
+  inequality there;
+- a conjunct is dropped, and counted in stats["expansion_conjuncts"],
+  when one of its joinands deletes to the empty word by removing
+  adjacent expansions x^(a) x^(b) with a - b = -1 (mod 2n)
+  (term.expands_to_unit).  Such a pair is y^r y for y = x^(b), and
+  y^r y >= 1; products are monotone, so that joinand is >= 1 and the
+  conjunct holds.
+
+The searched conjunct is the rewritten one, and a witness is realized
+for it.  Its functions are n-periodic, so they give the same values on
+the original exponents, which verify_witness evaluates;
+Witness.conjunct indexes the original list of term.conjuncts.  At
+decide_dlp's period, far above any exponent, the first rewrite changes
+nothing, and the second deletes only pairs x^(m-1) x^(m), which are
+>= 1 in every l-pregroup.
 """
 
 from __future__ import annotations
@@ -269,7 +291,8 @@ def _decide(eq: Union[Equation, str], n: int, complete: bool,
         budget = None if complete else DEFAULT_NODE_BUDGET
     nb = NodeBudget(budget)
     stats = {"failing_candidates": 0, "embeddings_refuted": 0,
-             "renamed_conjuncts": 0, "embed_nodes": 0, "embed_s": 0.0}
+             "expansion_conjuncts": 0, "renamed_conjuncts": 0,
+             "embed_nodes": 0, "embed_s": 0.0}
     decided = set()  # conjunct_key of every conjunct searched so far
     t0 = time.perf_counter()
 
@@ -281,6 +304,10 @@ def _decide(eq: Union[Equation, str], n: int, complete: bool,
 
     try:
         for ci, conj in enumerate(conjuncts):
+            conj = term.reduce_exponents(conj, n)
+            if any(term.expands_to_unit(w, n) for w in conj.joinands):
+                stats["expansion_conjuncts"] += 1  # holds: a joinand >= 1
+                continue
             key = term.conjunct_key(conj)
             if key in decided:  # renames an earlier one, which had no witness
                 stats["renamed_conjuncts"] += 1

@@ -418,6 +418,45 @@ def conjunct_key(eq: IntensionalEquation) -> tuple:
                    *map(itertools.permutations, ties)))
 
 
+def reduce_exponents(eq: IntensionalEquation, n: int) -> IntensionalEquation:
+    """eq with every literal x^(m), |m| > n, rewritten to x^(m') with m'
+    the representative of m mod 2n in (-n, n]; literals with |m| <= n
+    are kept.  Equivalent to eq in every n-periodic algebra, where
+    x^(2n) = x.  eq itself when no literal changes."""
+    def rep(m: int) -> int:
+        if -n <= m <= n:
+            return m
+        r = m % (2 * n)
+        return r - 2 * n if r > n else r
+
+    words = [tuple((name, rep(m)) for name, m in w) for w in eq.joinands]
+    if words == list(eq.joinands):
+        return eq
+    return IntensionalEquation(tuple(sorted(set(words))))
+
+
+def expands_to_unit(w: Word, n: int) -> bool:
+    """Whether w deletes to the empty word, one adjacent expansion
+    x^(a) x^(b) with a - b = -1 (mod 2n) at a time, in some order.  An
+    expansion is y^r y >= 1 with y = x^(b), so such a w is >= 1 in every
+    n-periodic l-pregroup (products are monotone).
+
+    An interval recursion over all deletion orders: w[i:j] deletes away
+    when i == j, or when w[i] pairs with some w[k] and both w[i+1:k] and
+    w[k+1:j] delete away.  Deleting greedily is not enough:
+    x x^(1) x^(2) x^(1) empties only from its middle pair."""
+    def pairs(a, b) -> bool:
+        return a[0] == b[0] and (a[1] - b[1] + 1) % (2 * n) == 0
+
+    # ends[i]: every j with w[i:j] deleting away, filled right to left
+    size = len(w)
+    ends = [set() for _ in range(size)] + [{size}]
+    for i in reversed(range(size)):
+        ends[i] = {i}.union(*(ends[k + 1] for k in ends[i + 1]
+                              if k < size and pairs(w[i], w[k])))
+    return size in ends[0]
+
+
 def intensional_size(eq: IntensionalEquation) -> int:
     """Symbol count of an intensional equation (the unit on the left counts
     one, like any other occurrence)."""

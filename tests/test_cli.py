@@ -126,7 +126,8 @@ def test_oracle_output_deterministic_under_seed(capsys):
 
 def test_budget_exhaustion_exit_code(capsys):
     code, out, _ = run(capsys, "decide", "--theory", "fnz", "--n", "1",
-                       "--complete", "--budget", "200", "x^l = x^r")
+                       "--complete", "--budget", "200",
+                       "1 <= x^(-1) y | y^(-1) z | z^(-1) x")
     assert code == 2
     assert json.loads(out)["verdict"] == "unknown-budget-exhausted"
 

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,7 @@ from lpregroup.decide import (FAILS, UNKNOWN, VALID, Verdict, Witness,
                               verify_witness, witness_from_json)
 from lpregroup.diagram import BudgetExceeded
 
-from test_term import renaming
+from test_term import conjuncts_xyz, renaming
 
 
 def assert_stats_contract(v: Verdict, eq: str, budget=None):
@@ -40,7 +41,17 @@ def assert_stats_contract(v: Verdict, eq: str, budget=None):
     if budget is not None:
         assert s["nodes"] + s["embed_nodes"] <= budget + 1
     # a skipped conjunct renames an earlier one, so never the first
-    assert 0 <= s["renamed_conjuncts"] < max(len(term.conjuncts(eq)), 1)
+    conjs = term.conjuncts(eq)
+    assert 0 <= s["renamed_conjuncts"] < max(len(conjs), 1)
+    # a dropped conjunct has a joinand that expands to the unit once its
+    # exponents are reduced, and a run through every conjunct drops all
+    expanding = sum(any(term.expands_to_unit(w, v.n) for w in
+                        term.reduce_exponents(c, v.n).joinands)
+                    for c in conjs)
+    assert 0 <= s["expansion_conjuncts"] <= expanding
+    if v.status == VALID:
+        assert s["expansion_conjuncts"] == expanding
+    assert s["expansion_conjuncts"] + s["renamed_conjuncts"] <= len(conjs)
     # an unknown names where the budget ran out, and a decided run names
     # nothing
     if v.status == UNKNOWN:
@@ -249,12 +260,45 @@ def test_dlp_complete_run_fails_with_a_verified_witness():
 # ----------------------------------------------------------------- budgets
 
 def test_budget_exhaustion_reports_unknown():
-    v = decide.decide_fnz("x^l = x^r", 1, complete=True, budget=500)
+    eq = "1 <= x^(-1) y | y^(-1) z | z^(-1) x"  # valid, 336,462 nodes
+    v = decide.decide_fnz(eq, 1, complete=True, budget=500)
     assert v.status == UNKNOWN
     assert v.exit_code == 2
     assert v.stats["nodes"] <= 501
     assert v.stats["stopped_by"] == "enumeration"
-    assert_stats_contract(v, "x^l = x^r", budget=500)
+    assert_stats_contract(v, eq, budget=500)
+
+
+def test_reduced_exponent_fails_and_verifies_on_the_original():
+    # y^(4) = y^(-2) at n = 3; searched as y^(4) the conjunct stays
+    # unknown at 20,000 nodes, searched as y^(-2) it fails in 63
+    eq = "1 <= y^(4) x"
+    v = decide.decide_lpn(eq, 3, budget=20_000)
+    assert v.status == FAILS and v.stats["nodes"] == 63
+    [conj] = term.conjuncts(eq)
+    assert conj.joinands == ((("y", 4), ("x", 0)),)
+    assert v.witness.conjunct == 0
+    assert verify_witness(eq, v.witness)
+    assert lexfn.eval_word(conj.joinands[0], v.witness.assignment,
+                           v.witness.point) < v.witness.point
+    assert_stats_contract(v, eq, budget=20_000)
+
+
+@pytest.mark.parametrize("proc", [decide.decide_fnz, decide.decide_lpn])
+def test_expansion_conjuncts_hold_without_search(proc):
+    # (x x^r) = 1 is x x^r <= 1, whose joinand x^(-2) x^(-1) is an
+    # expansion, and 1 <= x x^r, whose joinand x x^(-1) is one only when
+    # 2n divides 2: the equation holds at n = 1 and fails at n = 2
+    eq = "(x x^r) = 1"
+    v = proc(eq, 1, complete=True)
+    assert v.status == VALID
+    assert (v.stats["expansion_conjuncts"], v.stats["nodes"]) == (2, 0)
+    assert_stats_contract(v, eq)
+    v = proc(eq, 2, complete=True)
+    assert v.status == FAILS and v.stats["expansion_conjuncts"] == 1
+    assert v.witness.conjunct == 1
+    assert verify_witness(eq, v.witness)
+    assert_stats_contract(v, eq)
 
 
 @pytest.mark.parametrize("proc", [decide.decide_fnz, decide.decide_lpn])
@@ -268,12 +312,37 @@ def test_long_product_searches_past_the_recursion_limit(proc):
 
 
 def test_capped_run_with_large_point_set_returns_quickly():
-    # x^(12) has 12,288 points at n=7; ordering them used to take a
-    # quadratic scan that ran for minutes before the budget could bite
+    # x^(12) has 12,288 points at n=13; ordering them used to take a
+    # quadratic scan that ran for minutes before the budget could bite.
+    # Here and below the period is above the exponent, which exponent
+    # reduction mod 2n would otherwise shrink
     t0 = time.perf_counter()
-    v = decide.decide_fnz("1 <= x^(12) x", 7, budget=1000)
+    v = decide.decide_fnz("1 <= x^(12) x", 13, budget=1000)
     assert time.perf_counter() - t0 < 10
     assert v.status == UNKNOWN
+
+
+# bytes a capped call may allocate at its peak, per node of its budget
+PEAK_BYTES_PER_NODE = 256
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([decide.decide_fnz, decide.decide_lpn]),
+       conjuncts_xyz(max_m=16), st.integers(1, 3))
+def test_capped_calls_with_large_exponents_stay_in_budget(proc, conj, n):
+    # exponents up to 16 reduce mod 2n before any point set is built, so
+    # a capped call's time and memory follow its budget, not 2^|m|
+    eq, budget = str(conj), 1_000
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        v = proc(eq, n, budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 5
+    assert peak < PEAK_BYTES_PER_NODE * budget
+    assert_stats_contract(v, eq, budget=budget)
 
 
 # a child's peak RSS is read as its VmHWM: ru_maxrss keeps the
@@ -298,12 +367,12 @@ def _run_child(code, *args, timeout):
 
 _TABLE_RSS = """
 from lpregroup import decide
-print(decide.decide_fnz("1 <= x^(14) x", 8, budget=1000).status)
+print(decide.decide_fnz("1 <= x^(14) x", 15, budget=1000).status)
 """ + _PEAK_KB
 
 
 def test_capped_run_charges_the_point_table_first():
-    # x^(14) has 49,152 points at n=8; their table and bound lists took
+    # x^(14) has 49,152 points at n=15; their table and bound lists took
     # over a gigabyte, so the budget must run out before they are built
     status, rss_kb = _run_child(_TABLE_RSS, timeout=60)
     assert status == UNKNOWN
@@ -322,8 +391,8 @@ print(v.status, v.stats["stopped_by"], v.stats["nodes"],
 """ + _PEAK_KB
 
 
-@pytest.mark.parametrize("eq, n", [("1 <= x^(16) x", 9),
-                                   ("1 <= x^(40) x", 1)])
+@pytest.mark.parametrize("eq, n", [("1 <= x^(16) x", 17),
+                                   ("1 <= x^(40) x", 41)])
 def test_capped_run_stops_inside_the_point_set(eq, n):
     # the point set doubles with each unit of |m| (x^(40) would need
     # about 3 * 2^40 points), so the budget is charged point by point
@@ -332,6 +401,25 @@ def test_capped_run_stops_inside_the_point_set(eq, n):
     status, stopped_by, nodes, wall_s = run.split()
     assert (status, stopped_by, nodes) == (UNKNOWN, "enumeration", "1001")
     assert float(wall_s) < 5
+    assert int(rss_kb) < 100 * 1024
+
+
+_REDUCED_RSS = """
+import resource
+from lpregroup import decide
+limit = 512 * 1024 * 1024
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+v = decide.decide_fnz("1 <= x^(2000) x", 1, budget=1000)
+print(v.status, v.stats["nodes"])
+""" + _PEAK_KB
+
+
+def test_large_exponent_reduces_before_its_point_set_is_built():
+    # x^(2000) has about 3 * 2^2000 points, and building them up to the
+    # budget took 207 MB; at n = 1 it is x itself, so x x fails at once
+    run, rss_kb = _run_child(_REDUCED_RSS, timeout=60)
+    status, nodes = run.split()
+    assert status == FAILS and int(nodes) < 1000
     assert int(rss_kb) < 100 * 1024
 
 

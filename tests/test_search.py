@@ -5,6 +5,7 @@ import heapq
 import itertools
 from typing import Iterator, Optional
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from lpregroup import search, spacing, term
@@ -505,6 +506,21 @@ def assert_streams_match_reference(eq, max_structured_q=6):
         want = sorted(map(repr, _structurings_by_value(q, covers, fns)))
         assert len(got) == len(set(got))
         assert got == want
+
+
+@pytest.mark.parametrize("enumerate_failing", [
+    enumerate_compatible_surjections, enumerate_partition_diagrams])
+@pytest.mark.parametrize("eq, n", [
+    ("1 <= x^(-1) x", 2), ("1 <= x x^l", 2), ("x^l^r = x", 2),
+    ("x^(2) = x", 1), ("x^l = x^r", 1)])
+def test_search_alone_proves_the_expansion_laws(enumerate_failing, eq, n):
+    # the deciders drop these conjuncts before any search (a joinand
+    # expands to the unit); run on the unreduced conjuncts, the search
+    # must still find no failing candidate with an embedding
+    for conj in conjuncts(eq):
+        for cand in enumerate_failing(conj, require_failure=True, n=n):
+            assert spacing.find_witness_embedding(
+                cand.chain, cand.fns, n) is None
 
 
 _CORPUS = ["1 <= x", "1 <= x x", "1 <= x y", "1 <= x^l", "1 <= x^(-1) x",

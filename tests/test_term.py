@@ -12,15 +12,16 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from lpregroup import fnz, term
+from lpregroup import fnz, lexfn, term
 from lpregroup.term import (Equation, IntensionalEquation, Inv, Join, Meet,
                             ParseError, Prod, Unit, Var, delta_epsilon,
                             final_subwords, literal_str, parse,
                             point_of_word, to_intensional)
 
 from test_fnz import periodic_fns
+from test_lexfn import lex_fns, lex_points
 
 
 # ----------------------------------------------------------------- oracles
@@ -260,6 +261,127 @@ def test_final_subwords_multiple_joinands():
     [c] = to_intensional(parse("1 <= x y | y"))
     got = final_subwords(c)
     assert got == {(), *words("y", "x y")}
+
+
+# ------------------------------------------- exponents mod 2n, expansions
+
+def deletes_to_unit_by_brute_force(w, n):
+    """Whether some order of deleting adjacent expansions x^(a) x^(b),
+    a - b = -1 (mod 2n), empties w: every order is tried."""
+    seen, todo = set(), [tuple(w)]
+    while todo:
+        u = todo.pop()
+        if not u:
+            return True
+        if u in seen:
+            continue
+        seen.add(u)
+        todo.extend(u[:i] + u[i + 2:] for i in range(len(u) - 1)
+                    if u[i][0] == u[i + 1][0]
+                    and (u[i][1] - u[i + 1][1] + 1) % (2 * n) == 0)
+    return False
+
+
+def deletes_greedily(w, n):
+    stack = []
+    for name, m in w:
+        if stack and stack[-1][0] == name \
+                and (stack[-1][1] - m + 1) % (2 * n) == 0:
+            stack.pop()
+        else:
+            stack.append((name, m))
+    return not stack
+
+
+# x x^l x^(2) x^l: a stack pairs x with x^l and is left with x^(2) x^l,
+# while deleting the middle pair x^l x^(2) first empties the word
+GREEDY_MISS = (("x", 0), ("x", 1), ("x", 2), ("x", 1))
+
+
+@st.composite
+def expansion_words(draw, max_m=3, max_len=8):
+    """A word that often deletes to the unit: expansions x^(b-1) x^(b)
+    inserted one at a time, each exponent then shifted by a multiple of
+    2n, and sometimes one literal changed."""
+    n = draw(st.integers(1, 3))
+    w = []
+    while len(w) < max_len and draw(st.booleans()):
+        name = draw(st.sampled_from(("x", "y")))
+        b = draw(st.integers(-max_m, max_m))
+        i = draw(st.integers(0, len(w)))
+        w[i:i] = [(name, b - 1), (name, b)]
+    w = [(name, m + 2 * n * draw(st.integers(-1, 1))) for name, m in w]
+    if w and draw(st.booleans()):
+        i = draw(st.integers(0, len(w) - 1))
+        w[i] = (w[i][0], draw(st.integers(-max_m, max_m)))
+    return tuple(w), n
+
+
+random_words = st.tuples(
+    st.lists(st.tuples(st.sampled_from(("x", "y")), st.integers(-4, 4)),
+             max_size=8).map(tuple),
+    st.integers(1, 3))
+
+
+def test_greedy_deletion_misses_an_expansion_word():
+    assert not deletes_greedily(GREEDY_MISS, 2)
+    assert term.expands_to_unit(GREEDY_MISS, 2)
+    for vals in [(0, 2), (-1, 0), (3, 3), (0, 1)]:
+        asg = {"x": fnz.tabulated(2, vals)}
+        assert all(fnz.eval_word(GREEDY_MISS, asg, p) >= p for p in range(2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(expansion_words(), random_words))
+@example((GREEDY_MISS, 2))
+@example((GREEDY_MISS, 3))
+def test_expands_to_unit_matches_every_deletion_order(case):
+    w, n = case
+    assert term.expands_to_unit(w, n) == deletes_to_unit_by_brute_force(w, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(expansion_words(), st.data())
+def test_expansion_words_are_above_the_unit(case, data):
+    w, n = case
+    if not term.expands_to_unit(w, n):
+        return
+    asg = {v: data.draw(periodic_fns_at(n), label=v) for v in ("x", "y")}
+    # w commutes with the shift by n, so one period decides it
+    assert all(fnz.eval_word(w, asg, p) >= p for p in range(n))
+    lex = {v: data.draw(lex_fns(n), label=f"lex {v}") for v in ("x", "y")}
+    for p in data.draw(st.lists(lex_points(), min_size=1, max_size=5)):
+        assert lexfn.eval_word(w, lex, p) >= p
+
+
+@settings(max_examples=200, deadline=None)
+@given(conjuncts_xyz(max_m=16), st.integers(1, 3), st.data())
+def test_reduced_exponents_evaluate_equal(c, n, data):
+    r = term.reduce_exponents(c, n)
+    assert all(-n <= m <= n for w in r.joinands for _, m in w)
+    if all(abs(m) <= n for w in c.joinands for _, m in w):
+        assert r is c  # nothing to reduce, so no new search order
+    asg = {v: data.draw(periodic_fns_at(n), label=v) for v in _NAMES}
+    for p in range(n):
+        assert ({fnz.eval_word(w, asg, p) for w in c.joinands}
+                == {fnz.eval_word(w, asg, p) for w in r.joinands})
+    lex = {v: data.draw(lex_fns(n), label=f"lex {v}") for v in _NAMES}
+    p = data.draw(lex_points())
+    assert ({lexfn.eval_word(w, lex, p) for w in c.joinands}
+            == {lexfn.eval_word(w, lex, p) for w in r.joinands})
+
+
+def test_reduction_keeps_exponents_within_the_period():
+    # x^r stays x^r at n = 1 (remapping -1 to 1 enlarges the search)
+    [c] = to_intensional(parse("1 <= x^r y^(3) | x^(-5)"))
+    assert term.reduce_exponents(c, 1).joinands == tuple(sorted(
+        [(("x", -1), ("y", 1)), (("x", 1),)]))
+    assert term.reduce_exponents(c, 2).joinands == tuple(sorted(
+        [(("x", -1), ("y", -1)), (("x", -1),)]))
+    assert term.reduce_exponents(c, 5) is c
+    # x^(3) and x^(1) meet at n = 1
+    [c] = to_intensional(parse("1 <= x^(3) | x^l"))
+    assert term.reduce_exponents(c, 1).joinands == ((("x", 1),),)
 
 
 # --------------------------------------------------------------- Delta set
