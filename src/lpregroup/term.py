@@ -15,13 +15,15 @@ An equation is decided through its intensional form: a conjunction of
 inequalities 1 <= w_1 | ... | w_k where every w is a product of literals
 x^(m) (m-fold iterated inverses of variables, m in Z; x^(0) is x itself,
 x^(1) is x^l, x^(-1) is x^r).  The reduction: split = into two <=, move the
-left side to the right (s <= t becomes 1 <= s^r t), push inverses down to
-variables (inverting is an anti-automorphism for even iterates and swaps
-join with meet for odd ones), distribute products over joins and meets and
-meets over joins, and finally split the join-of-meets into one conjunct per
-selection of a meetand from each join arm.  Every step preserves validity
-over the function algebras targeted here (multiplication has both residuals
-and co-residuals, so it distributes over finite joins and meets, and the
+left side to the right (s <= t becomes 1 <= s^r t), and normalize s^r t to
+a join of meets of words in one recursion.  It carries the pending inverse
+exponent down to the variables (inverting is an anti-automorphism for even
+iterates and swaps join with meet for odd ones) while it distributes
+products over joins and meets and meets over joins, each subterm once.
+Finally the join of meets splits into one conjunct per selection of a
+meetand from each join arm.  Every step preserves validity over the
+function algebras targeted here (multiplication has both residuals and
+co-residuals, so it distributes over finite joins and meets, and the
 lattices are distributive).
 
 Words are tuples of (variable, m) pairs, composition order left to right:
@@ -208,7 +210,7 @@ class _Parser:
                              f"got {val} at {pos}")
         if val == "(":
             # each level costs several stack frames here and in the
-            # recursive normal-form passes; refuse before Python's limit
+            # recursive normal form; refuse before Python's limit
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than "
                                  f"{MAX_NESTING} at {pos}")
@@ -288,77 +290,39 @@ def word_str(w: Word) -> str:
     return " ".join(literal_str(lit) for lit in w) if w else "1"
 
 
-def _push_inv(t: Term, m: int) -> Term:
-    """Rewrite t^(m) with inverses applied directly to variables."""
+def _join_of_meets(t: Term, m: int = 0) -> list[tuple[Word, ...]]:
+    """The normal form of t^(m): a join of meets, each meet a sorted tuple
+    of words.  The pending exponent m rides down to the variables, and
+    every argument is normalized once before its arms are combined."""
     t, ms = _strip_inv(t)
     m += sum(ms)
     if isinstance(t, Unit):
-        return t
+        return [((),)]
     if isinstance(t, Var):
-        return Inv(t, m) if m else t
-    args = tuple(_push_inv(a, m) for a in t.args)
+        return [(((t.name, m),),)]
+    args = [_join_of_meets(a, m) for a in t.args]
     if isinstance(t, Prod):
-        return Prod(args if m % 2 == 0 else args[::-1])
-    if isinstance(t, Join):
-        return Join(args) if m % 2 == 0 else Meet(args)
-    return Meet(args) if m % 2 == 0 else Join(args)
-
-
-def _join_of_meets(t: Term) -> list[list[Word]]:
-    """Normal form of an inverse-pushed term: a join of meets of words."""
-    if isinstance(t, Unit):
-        return [[()]]
-    if isinstance(t, Var):
-        return [[((t.name, 0),)]]
-    if isinstance(t, Inv):
-        if not isinstance(t.arg, Var):
-            raise AssertionError("inverses must be pushed first")
-        return [[((t.arg.name, t.m),)]]
-    if isinstance(t, Join):
-        arms: list[list[Word]] = []
-        for a in t.args:
-            arms.extend(_join_of_meets(a))
-        return _dedup(arms)
-    if isinstance(t, Meet):
-        arms = [[]]
-        for a in t.args:
-            arms = [_dedup_words(m1 + m2)
-                    for m1 in arms for m2 in _join_of_meets(a)]
-        return _dedup(arms)
-    # product: multiply arm by arm, word by word
-    arms = [[()]]
-    for a in t.args:
-        arms = [_dedup_words([w1 + w2 for w1 in m1 for w2 in m2])
-                for m1 in arms for m2 in _join_of_meets(a)]
-    return _dedup(arms)
-
-
-def _dedup_words(words: Iterable[Word]) -> list[Word]:
-    return sorted(set(words))
-
-
-def _dedup(arms: list[list[Word]]) -> list[list[Word]]:
-    seen = set()
-    out = []
-    for arm in arms:
-        key = tuple(arm)
-        if key not in seen:
-            seen.add(key)
-            out.append(arm)
-    return out
+        # multiply arm by arm, word by word; odd inverses reverse products
+        arms = [((),)]
+        for b in (args if m % 2 == 0 else args[::-1]):
+            arms = [tuple(sorted({w1 + w2 for w1 in m1 for w2 in m2}))
+                    for m1 in arms for m2 in b]
+    elif isinstance(t, Join) == (m % 2 == 0):
+        # a join, or a meet under odd inverses: concatenate the arms
+        arms = [arm for b in args for arm in b]
+    else:
+        # a meet, or a join under odd inverses: union the meets pairwise
+        arms = [()]
+        for b in args:
+            arms = [tuple(sorted(set(m1 + m2))) for m1 in arms for m2 in b]
+    return list(dict.fromkeys(arms))  # drop repeats, keep first-seen order
 
 
 def _inequality_conjuncts(lhs: Term, rhs: Term) -> list[IntensionalEquation]:
-    moved = Prod((Inv(lhs, -1), rhs))
-    arms = _join_of_meets(_push_inv(moved, 0))
-    conjuncts = []
-    for choice in itertools.product(*(range(len(arm)) for arm in arms)):
-        joinands = tuple(sorted({arms[i][c] for i, c in enumerate(choice)}))
-        if () in joinands:
-            continue  # one joinand is the unit itself: trivially true
-        if joinands:
-            conjuncts.append(IntensionalEquation(joinands))
-    return conjuncts
+    arms = _join_of_meets(Prod((Inv(lhs, -1), rhs)))
+    # one word per meet; a selection holding the unit is trivially true
+    return [IntensionalEquation(tuple(sorted(set(choice))))
+            for choice in itertools.product(*arms) if () not in choice]
 
 
 def to_intensional(eq: Equation) -> list[IntensionalEquation]:
@@ -496,7 +460,6 @@ def _decorated_family(name: str, m: int, base: Point) -> Iterator[Point]:
     cover decorations (lower covers for m >= 0, upper for m < 0; never on
     the outermost exponent 0).  Generated lazily: there are about
     3 * 2^|m| of them."""
-    yield base
     sign = 1 if m >= 0 else -1
     cov = -1 if m >= 0 else +1
     for j in range(abs(m) + 1):
@@ -525,7 +488,7 @@ def delta_epsilon(eq: IntensionalEquation,
     once per new point before it is stored; a budget that raises there
     stops the build one point past its limit."""
     fs = final_subwords(eq)
-    families = (p for w in fs if w and w[1:] in fs
+    families = (p for w in fs if w
                 for p in _decorated_family(w[0][0], w[0][1],
                                            point_of_word(w[1:])))
     points: set[Point] = set()

@@ -22,7 +22,7 @@ from lpregroup.decide import (FAILS, UNKNOWN, VALID, Verdict, Witness,
                               verify_witness, witness_from_json)
 from lpregroup.diagram import BudgetExceeded
 
-from test_term import conjuncts_xyz, renaming
+from test_term import conjuncts_xyz, equations, renaming, terms
 
 
 def assert_stats_contract(v: Verdict, eq: str, budget=None):
@@ -702,29 +702,6 @@ def test_rejects_nonpositive_period():
 
 
 # ------------------------------------------------------ differential fuzz
-
-@st.composite
-def terms(draw, size):
-    """Term text of exactly `size` symbols (term.term_size) over x, y and
-    the unit, built from product, join, meet, ^l and ^r."""
-    if size == 1:
-        return draw(st.sampled_from(("x", "y", "1")))
-    op = draw(st.sampled_from((" ", " | ", " & ", "^l", "^r")
-                              if size > 2 else ("^l", "^r")))
-    if op.startswith("^"):
-        return f"({draw(terms(size - 1))}){op}"
-    left = draw(st.integers(1, size - 2))
-    return f"({draw(terms(left))}){op}({draw(terms(size - 1 - left))})"
-
-
-@st.composite
-def equations(draw):
-    # hypothesis favours the simplest draws, so make those the largest
-    size = 6 - draw(st.integers(0, 4))
-    left = draw(st.integers(1, size - 1))
-    rel = draw(st.sampled_from(("=", "<=")))
-    return f"{draw(terms(left))} {rel} {draw(terms(size - left))}"
-
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(equations(), st.sampled_from(("fnz", "lpn")), st.sampled_from((1, 2)))

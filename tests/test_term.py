@@ -4,7 +4,9 @@ The normalization oracle is semantic: an equation and its intensional form
 must agree on every concrete assignment of n-periodic functions, because
 each rewriting step is an equivalence over those algebras.  Evaluating both
 sides directly is a complete check up to the sampled assignments and is
-where any distribution or inverse-pushing bug would surface.
+where any distribution or inverse-pushing bug would surface.  The
+conjunct lists themselves, order included, are checked against a two-pass
+reference normal form kept here.
 """
 
 import itertools
@@ -12,7 +14,8 @@ import math
 import time
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import (assume, example, given, settings,
+                        strategies as st)
 
 from lpregroup import fnz, lexfn, term
 from lpregroup.term import (Equation, IntensionalEquation, Inv, Join, Meet,
@@ -26,31 +29,33 @@ from test_lexfn import lex_fns, lex_points
 
 # ----------------------------------------------------------------- oracles
 
-def eval_term(t, asg, n):
-    """Direct evaluation of a term AST in the n-periodic function algebra."""
+def eval_term(t, asg, alg, unit):
+    """Direct evaluation of a term AST in a function algebra, fnz on Z or
+    lexfn on Q×Z, with the given unit."""
     if isinstance(t, Var):
         return asg[t.name]
     if isinstance(t, Unit):
-        return fnz.id_fn(n)
+        return unit
     if isinstance(t, Inv):
-        return fnz.iter_inv(eval_term(t.arg, asg, n), t.m)
-    vals = [eval_term(a, asg, n) for a in t.args]
+        return alg.iter_inv(eval_term(t.arg, asg, alg, unit), t.m)
+    vals = [eval_term(a, asg, alg, unit) for a in t.args]
     out = vals[0]
     for v in vals[1:]:
         if isinstance(t, Prod):
-            out = fnz.compose(out, v)
+            out = alg.compose(out, v)
         elif isinstance(t, Join):
-            out = fnz.join(out, v)
+            out = alg.join(out, v)
         else:
-            out = fnz.meet(out, v)
+            out = alg.meet(out, v)
     return out
 
 
-def equation_holds(eq: Equation, asg, n) -> bool:
-    lhs, rhs = eval_term(eq.lhs, asg, n), eval_term(eq.rhs, asg, n)
+def equation_holds(eq: Equation, asg, alg, unit) -> bool:
+    lhs = eval_term(eq.lhs, asg, alg, unit)
+    rhs = eval_term(eq.rhs, asg, alg, unit)
     if eq.relation == "<=":
-        return fnz.leq(lhs, rhs)
-    return lhs == rhs
+        return alg.leq(lhs, rhs)
+    return lhs == rhs  # both algebras keep their elements in normal form
 
 
 def conjunct_holds(c: IntensionalEquation, asg, n) -> bool:
@@ -146,15 +151,41 @@ def test_intensional_join_and_meet():
 
 
 @st.composite
-def small_terms(draw, depth=0):
-    if depth >= 2 or draw(st.booleans()):
+def small_terms(draw, depth=0, max_depth=2, max_m=2):
+    if depth >= max_depth or draw(st.booleans()):
         leaf = draw(st.sampled_from(["x", "y", "1"]))
         return Unit() if leaf == "1" else Var(leaf)
     kind = draw(st.sampled_from(["prod", "join", "meet", "inv", "inv"]))
+    sub = small_terms(depth + 1, max_depth, max_m)
     if kind == "inv":
-        return Inv(draw(small_terms(depth + 1)), draw(st.integers(-2, 2)))
-    args = (draw(small_terms(depth + 1)), draw(small_terms(depth + 1)))
+        return Inv(draw(sub), draw(st.integers(-max_m, max_m)))
+    args = (draw(sub), draw(sub))
     return {"prod": Prod, "join": Join, "meet": Meet}[kind](args)
+
+
+@st.composite
+def terms(draw, size):
+    """Term text of exactly `size` symbols (term.term_size) over x, y and
+    the unit, built from product, join, meet, ^l and ^r."""
+    if size == 1:
+        return draw(st.sampled_from(("x", "y", "1")))
+    op = draw(st.sampled_from((" ", " | ", " & ", "^l", "^r")
+                              if size > 2 else ("^l", "^r")))
+    if op.startswith("^"):
+        return f"({draw(terms(size - 1))}){op}"
+    left = draw(st.integers(1, size - 2))
+    return f"({draw(terms(left))}){op}({draw(terms(size - 1 - left))})"
+
+
+@st.composite
+def equations(draw):
+    """Equation text of 2 to 6 symbols, the grammar tests/test_decide.py
+    fuzzes the deciders with."""
+    # hypothesis favours the simplest draws, so make those the largest
+    size = 6 - draw(st.integers(0, 4))
+    left = draw(st.integers(1, size - 1))
+    rel = draw(st.sampled_from(("=", "<=")))
+    return f"{draw(terms(left))} {rel} {draw(terms(size - left))}"
 
 
 def periodic_fns_at(n, bound=4):
@@ -172,9 +203,159 @@ def test_intensional_form_is_equivalent(lhs, rhs, rel, data):
     eq = Equation(lhs, rhs, rel)
     n = data.draw(st.integers(1, 3))
     asg = {v: data.draw(periodic_fns_at(n), label=v) for v in ("x", "y")}
-    direct = equation_holds(eq, asg, n)
+    direct = equation_holds(eq, asg, fnz, fnz.id_fn(n))
     viaform = all(conjunct_holds(c, asg, n) for c in to_intensional(eq))
     assert direct == viaform
+
+
+def conjunct_term(c: IntensionalEquation):
+    """The join of c's joinands as a term; 1 <= it is c."""
+    return Join(tuple(Prod(tuple(Inv(Var(name), m) for name, m in w))
+                      if w else Unit() for w in c.joinands))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_terms(), small_terms(), st.sampled_from(["<=", "="]),
+       st.data())
+def test_intensional_form_is_equivalent_on_qxz(lhs, rhs, rel, data):
+    # lpn witnesses live on Q×Z, not on the fiber F_n(Z) drawn above
+    eq = Equation(lhs, rhs, rel)
+    n = data.draw(st.integers(1, 3))
+    asg = {v: data.draw(lex_fns(n), label=v) for v in ("x", "y")}
+    unit = lexfn.LexFn(n)
+    direct = equation_holds(eq, asg, lexfn, unit)
+    viaform = all(lexfn.leq(unit, eval_term(conjunct_term(c), asg, lexfn,
+                                            unit))
+                  for c in to_intensional(eq))
+    assert direct == viaform
+
+
+# The reference normal form, in two passes: push the inverses down to the
+# variables, then distribute, re-normalizing each factor once per arm built
+# so far.  term._join_of_meets does both in one recursion, and must give
+# the same conjunct lists, order included.
+
+def push_inv_reference(t, m):
+    """Rewrite t^(m) with inverses applied directly to variables."""
+    t, ms = term._strip_inv(t)
+    m += sum(ms)
+    if isinstance(t, Unit):
+        return t
+    if isinstance(t, Var):
+        return Inv(t, m) if m else t
+    args = tuple(push_inv_reference(a, m) for a in t.args)
+    if isinstance(t, Prod):
+        return Prod(args if m % 2 == 0 else args[::-1])
+    if isinstance(t, Join):
+        return Join(args) if m % 2 == 0 else Meet(args)
+    return Meet(args) if m % 2 == 0 else Join(args)
+
+
+def join_of_meets_reference(t):
+    """Normal form of an inverse-pushed term: a join of meets of words."""
+    if isinstance(t, Unit):
+        return [[()]]
+    if isinstance(t, Var):
+        return [[((t.name, 0),)]]
+    if isinstance(t, Inv):
+        if not isinstance(t.arg, Var):
+            raise AssertionError("inverses must be pushed first")
+        return [[((t.arg.name, t.m),)]]
+    if isinstance(t, Join):
+        arms = []
+        for a in t.args:
+            arms.extend(join_of_meets_reference(a))
+        return dedup_arms(arms)
+    if isinstance(t, Meet):
+        arms = [[]]
+        for a in t.args:
+            arms = [dedup_words(m1 + m2)
+                    for m1 in arms for m2 in join_of_meets_reference(a)]
+        return dedup_arms(arms)
+    # product: multiply arm by arm, word by word
+    arms = [[()]]
+    for a in t.args:
+        arms = [dedup_words([w1 + w2 for w1 in m1 for w2 in m2])
+                for m1 in arms for m2 in join_of_meets_reference(a)]
+    return dedup_arms(arms)
+
+
+def dedup_words(words):
+    return sorted(set(words))
+
+
+def dedup_arms(arms):
+    seen = set()
+    out = []
+    for arm in arms:
+        key = tuple(arm)
+        if key not in seen:
+            seen.add(key)
+            out.append(arm)
+    return out
+
+
+def inequality_conjuncts_reference(lhs, rhs):
+    moved = Prod((Inv(lhs, -1), rhs))
+    arms = join_of_meets_reference(push_inv_reference(moved, 0))
+    conjuncts = []
+    for choice in itertools.product(*(range(len(arm)) for arm in arms)):
+        joinands = tuple(sorted({arms[i][c] for i, c in enumerate(choice)}))
+        if () in joinands:
+            continue  # one joinand is the unit itself: trivially true
+        if joinands:
+            conjuncts.append(IntensionalEquation(joinands))
+    return conjuncts
+
+
+def intensional_reference(eq: Equation):
+    out = inequality_conjuncts_reference(eq.lhs, eq.rhs)
+    if eq.relation == "=":
+        out.extend(inequality_conjuncts_reference(eq.rhs, eq.lhs))
+    return list(dict.fromkeys(out))
+
+
+@settings(max_examples=500, deadline=None)
+@given(small_terms(max_depth=3, max_m=3), small_terms(max_depth=3, max_m=3),
+       st.sampled_from(["<=", "="]))
+def test_intensional_form_matches_the_two_pass_reference(lhs, rhs, rel):
+    eq = Equation(lhs, rhs, rel)
+    # a side takes one selection per choice of a meetand from each arm;
+    # at depth 3 a rare draw takes billions
+    for a, b in [(lhs, rhs), (rhs, lhs)]:
+        arms = join_of_meets_reference(push_inv_reference(
+            Prod((Inv(a, -1), b)), 0))
+        assume(math.prod(map(len, arms)) <= 10_000)
+    assert to_intensional(eq) == intensional_reference(eq)  # order included
+
+
+@settings(max_examples=300, deadline=None)
+@given(equations())
+def test_intensional_form_matches_the_reference_on_the_fuzz_grammar(text):
+    eq = parse(text)
+    assert to_intensional(eq) == intensional_reference(eq)
+
+
+def test_normal_form_visits_each_subterm_once(monkeypatch):
+    calls = 0
+    recurse = term._join_of_meets
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return recurse(*args)
+
+    monkeypatch.setattr(term, "_join_of_meets", counted)
+    a = "(x|y|z)"
+    eq = parse(f"1 <= ((({a}{a})({a}{a}))(({a}{a})({a}{a})))")
+
+    def nodes(t):  # subterms that are not inverses
+        t, _ = term._strip_inv(t)
+        return 1 + sum(map(nodes, getattr(t, "args", ())))
+
+    to_intensional(eq)
+    # the moved product 1^r P, the unit under its inverse, and P's 39
+    assert calls == 1 + nodes(eq.lhs) + nodes(eq.rhs) == 41
 
 
 # ------------------------------------------------------- renaming key
