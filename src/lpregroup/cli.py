@@ -163,11 +163,16 @@ def _cmd_verify(args) -> int:
         if isinstance(data, dict) and isinstance(data.get("witness"), dict):
             data = data["witness"]
         w = decide.witness_from_json(data)
-        try:
-            ok = decide.verify_witness(eq, w)
-            reason = None if ok else "some joinand is not below the point"
-        except KeyError as e:
-            ok, reason = False, f"malformed witness: {e}"
+        count = len(term.conjuncts(eq))
+        if not 0 <= w.conjunct < count:
+            ok, reason = False, (f"conjunct {w.conjunct} out of range: the "
+                                 f"equation has {count} conjuncts")
+        else:
+            try:
+                ok = decide.verify_witness(eq, w)
+                reason = None if ok else "some joinand is not below the point"
+            except KeyError as e:
+                ok, reason = False, f"malformed witness: {e}"
     out = {"equation": args.equation, "verified": ok}
     if reason:
         out["reason"] = reason

@@ -187,9 +187,10 @@ def _check_realized(eq: IntensionalEquation, fns, p, ev, want_at
     error, not an input condition.  Returns the joinand evaluations."""
     checked = []
     for w in eq.joinands:
-        # innermost subword first, so got ends on the whole joinand
-        for k in reversed(range(len(w) + 1)):
-            got = ev(w[k:], fns, p)
+        # innermost literal first; the empty subword is p by construction
+        got = p
+        for k in reversed(range(len(w))):
+            got = ev(w[k:k + 1], fns, got)
             want = want_at(point_of_word(w[k:]))
             if got != want:
                 raise AssertionError(

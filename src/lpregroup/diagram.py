@@ -44,8 +44,8 @@ class NodeBudget:
         self.limit = limit
         self.used = 0
 
-    def spend(self, k: int = 1):
-        self.used += k
+    def spend(self):
+        self.used += 1
         if self.limit is not None and self.used > self.limit:
             raise BudgetExceeded(f"node budget {self.limit} exhausted")
 

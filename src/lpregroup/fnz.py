@@ -184,48 +184,30 @@ def eval_word(word: Iterable[tuple[str, int]],
 def is_periodic_pairs(pairs: Mapping[int, int] | Iterable[tuple[int, int]],
                       n: int) -> bool:
     """Whether a finite partial function on Z extends to an n-periodic
-    order-preserving map.
-
-    The defining condition is: x <= y + kn implies h(x) <= h(y) + kn, for all
-    integers k.  For a fixed pair the tightest k is ceil((x - y)/n), so the
-    whole family of conditions collapses to
-
-        ceil((h(x) - h(y)) / n) <= ceil((x - y) / n)
-
-    over ordered pairs of domain points (including x = y trivially).
-    """
-    items = list(pairs.items()) if isinstance(pairs, Mapping) else list(pairs)
-    seen: dict[int, int] = {}
-    for x, hx in items:
-        if seen.setdefault(x, hx) != hx:
-            return False
-    pts = sorted(seen)
-    for i, x in enumerate(pts):
-        for y in pts[i + 1:]:
-            # two one-sided conditions per unordered pair
-            if -((seen[x] - seen[y]) // -n) > -((x - y) // -n):
-                return False
-            if -((seen[y] - seen[x]) // -n) > -((y - x) // -n):
-                return False
+    order-preserving map, that is, whether extend_partial accepts it."""
+    try:
+        extend_partial(pairs, n)
+    except ValueError:
+        return False
     return True
 
 
-def extend_partial(h: Mapping[int, int], n: int) -> PeriodicFn:
-    """Extend a finite n-periodic partial function on Z to a total element.
-
-    Raises ValueError if h is not n-periodic as a partial map.  An empty h
-    fixes nothing and extends to the identity.
-
-    Construction: fold the domain into one period via
-    hbar(x mod n) = h(x) - (x - x mod n); the sorted folded pairs are the
-    steps of the extension.
-    """
-    if not is_periodic_pairs(h, n):
-        raise ValueError(f"partial function is not {n}-periodic: {dict(h)}")
-    folded = {x % n: hx - (x - x % n) for x, hx in h.items()}
+def extend_partial(h: Mapping[int, int] | Iterable[tuple[int, int]],
+                   n: int) -> PeriodicFn:
+    """Extend a finite partial function on Z, a mapping or pairs, to an
+    n-periodic order-preserving map, or raise ValueError if there is none.
+    An empty h extends to the identity.  h extends exactly when its fold
+    into one period, hbar(x mod n) = h(x) - (x - x mod n), is a function
+    whose sorted pairs pass the PeriodicFn constructor's window check;
+    those pairs are then the extension's steps."""
+    pairs = list(h.items() if isinstance(h, Mapping) else h)
+    folded: dict[int, int] = {}
+    for x, hx in pairs:
+        if folded.setdefault(x % n, hx - x + x % n) != hx - x + x % n:
+            raise ValueError(f"partial function is not {n}-periodic: {pairs}")
     f = PeriodicFn(n, tuple(sorted(folded.items())))
-    if any(eval(f, x) != hx for x, hx in h.items()):
-        raise AssertionError(f"extension {f} does not agree with {dict(h)}")
+    if any(eval(f, x) != hx for x, hx in pairs):
+        raise AssertionError(f"extension {f} does not agree with {pairs}")
     return f
 
 

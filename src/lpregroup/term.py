@@ -21,10 +21,10 @@ exponent down to the variables (inverting is an anti-automorphism for even
 iterates and swaps join with meet for odd ones) while it distributes
 products over joins and meets and meets over joins, each subterm once.
 Finally the join of meets splits into one conjunct per selection of a
-meetand from each join arm.  Every step preserves validity over the
-function algebras targeted here (multiplication has both residuals and
-co-residuals, so it distributes over finite joins and meets, and the
-lattices are distributive).
+word from each meet, built by a fold over the meets.  Every step
+preserves validity over the function algebras targeted here
+(multiplication has both residuals and co-residuals, so it distributes
+over finite joins and meets, and the lattices are distributive).
 
 Words are tuples of (variable, m) pairs, composition order left to right:
 the rightmost factor applies first to a point.
@@ -319,10 +319,12 @@ def _join_of_meets(t: Term, m: int = 0) -> list[tuple[Word, ...]]:
 
 
 def _inequality_conjuncts(lhs: Term, rhs: Term) -> list[IntensionalEquation]:
-    arms = _join_of_meets(Prod((Inv(lhs, -1), rhs)))
-    # one word per meet; a selection holding the unit is trivially true
-    return [IntensionalEquation(tuple(sorted(set(choice))))
-            for choice in itertools.product(*arms) if () not in choice]
+    # a meet at a time: a selection is its word set, kept where it first
+    # occurs (an equal later prefix completes alike); the unit is skipped
+    sels = dict.fromkeys([frozenset()])
+    for meet in _join_of_meets(Prod((Inv(lhs, -1), rhs))):
+        sels = dict.fromkeys(s | {w} for s in sels for w in meet if w)
+    return [IntensionalEquation(tuple(sorted(s))) for s in sels]
 
 
 def to_intensional(eq: Equation) -> list[IntensionalEquation]:

@@ -60,6 +60,21 @@ def test_verify_accepts_bare_witness_json(capsys, tmp_path):
     assert code == 0 and json.loads(out)["verified"] is True
 
 
+@pytest.mark.parametrize("index", [7, -1])
+def test_verify_names_an_out_of_range_conjunct(capsys, tmp_path, index):
+    code, out, _ = run(capsys, "decide", "--theory", "lpn", "--n", "1",
+                       "x y = y x")
+    assert code == 1
+    env = json.loads(out)
+    env["witness"]["conjunct"] = index
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(env))
+    code, out, _ = run(capsys, "verify", str(path), "x y = y x")
+    assert code == 1
+    assert json.loads(out)["reason"] == (f"conjunct {index} out of range: "
+                                         "the equation has 2 conjuncts")
+
+
 def test_verify_refuses_a_string_for_an_array(capsys, tmp_path):
     # "" iterates like [], so x would load as the same identity global part
     code, out, _ = run(capsys, "decide", "--theory", "lpn", "--n", "1",

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,6 +221,23 @@ def test_verify_rejects_out_of_range_conjunct():
                                                 w.point, conjunct=5))
 
 
+@pytest.mark.parametrize("proc", [decide.decide_fnz, decide.decide_lpn])
+def test_realization_compares_every_final_subword(monkeypatch, proc):
+    # every realized map one off at its largest diagram argument: the
+    # walk must stop at the innermost literal y of x y, not only compare
+    # the whole joinand
+    def off_by_one(h, n):
+        h = dict(h)
+        h[max(h)] += 1
+        return fnz.extend_partial(h, n)
+
+    monkeypatch.setattr(decide, "fnz", types.SimpleNamespace(
+        **{**vars(fnz), "extend_partial": off_by_one}))
+    with pytest.raises(AssertionError, match=r"realized functions disagree "
+                       r"with diagram at \(\('y', 0\),\)"):
+        proc("1 <= x y", 1)
+
+
 def test_witness_covers_all_equation_variables():
     # y does not occur in the failing conjunct's realization, but the
     # witness must still assign it (identity) to instantiate the equation
@@ -421,6 +439,30 @@ def test_large_exponent_reduces_before_its_point_set_is_built():
     status, nodes = run.split()
     assert status == FAILS and int(nodes) < 1000
     assert int(rss_kb) < 100 * 1024
+
+
+_SELECTION_FOLD = """
+import resource, time
+from lpregroup import decide, term
+limit = 512 * 1024 * 1024
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+eq = "1 <= (x | y) & (x^l | y^l) & (x^r | y^r) & (x y | y x)"
+print(len(term.conjuncts(eq)))
+t0 = time.perf_counter()
+v = decide.decide_fnz(eq, 1, budget=1000)
+print(v.status, v.stats["stopped_by"], time.perf_counter() - t0)
+"""
+
+
+def test_conjunct_selections_fold_within_memory():
+    # 16 meets of 4 words are 4^16 selections of one word per meet, whose
+    # product raised MemoryError; folding a meet at a time keeps each
+    # distinct word set once, 175 of them
+    count, run = _run_child(_SELECTION_FOLD, timeout=60)
+    status, stopped_by, wall_s = run.split()
+    assert int(count) == 175
+    assert (status, stopped_by) == (UNKNOWN, "enumeration")
+    assert float(wall_s) < 5
 
 
 _DLP_REALIZE = """

@@ -6,7 +6,7 @@ written before the implementations were trusted and kept as the reference.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lpregroup import fnz
 from lpregroup.fnz import PeriodicFn
@@ -360,8 +360,18 @@ def test_extend_partial_matches_residue_rule(f, dom):
     assert fnz.extend_partial(h, f.n) == oracle_extend(h, f.n)
 
 
-@settings(max_examples=200)
-@given(st.integers(1, 3),
-       st.dictionaries(st.integers(-6, 6), st.integers(-6, 6), max_size=4))
+@settings(max_examples=300)
+@given(st.integers(1, 6),
+       st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+                max_size=6))
+@example(2, [(0, 1), (0, 1)])
+@example(2, [(0, 1), (3, 2), (0, 1)])
+@example(2, [(0, 1), (0, 2)])
+@example(3, [(1, 4), (5, 0), (1, 3)])
 def test_periodicity_test_matches_definition(n, pairs):
-    assert fnz.is_periodic_pairs(pairs, n) == oracle_is_periodic(pairs, n)
+    # as pairs, a repeated argument is a function only with equal values
+    h = dict(pairs)
+    expected = (all(h[x] == hx for x, hx in pairs)
+                and oracle_is_periodic(h, n))
+    assert fnz.is_periodic_pairs(pairs, n) == expected
+    assert fnz.is_periodic_pairs(h, n) == oracle_is_periodic(h, n)
