@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import traceback
@@ -136,6 +137,20 @@ def _cmd_decide(args) -> int:
     with _reading_input():
         eq = term.parse(args.equation)
     if args.theory == "dlp":
+        # the envelope prints the period 2^s * s^4 in full, which Python
+        # refuses past its int-to-str limit (absent before 3.10.7).  Its
+        # digits are counted in floats up to size 4 * limit + 1, where 2^s
+        # alone is past the limit; beyond, s * log10(2) could overflow.
+        s = term.equation_size(eq)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        t = min(s, 4 * limit + 1)
+        digits = math.floor(t * math.log10(2) + 4 * math.log10(t)) + 1
+        if 0 < limit < digits:
+            raise _UsageError(
+                f"--theory dlp: the period 2^s * s^4 at size s = {s} has "
+                f"{'' if t == s else 'at least '}{digits} digits, more than "
+                f"sys.get_int_max_str_digits() = {limit} lets the verdict "
+                f"print")
         verdict = decide.decide_dlp(eq, complete=args.complete,
                                     budget=args.budget)
     else:

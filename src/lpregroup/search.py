@@ -103,7 +103,10 @@ class PartitionDiagram:
 
 def _point_table(eq: IntensionalEquation,
                  budget: Optional[NodeBudget] = None):
-    """Points in dependency order plus the structural edges to check.
+    """Points in dependency order plus the structural edges to check:
+    (pts, info, joinands, bracket_edges, sandwiches), the sandwiches as
+    index triples (a, b, strict) for value(a) < value(b), or <= when not
+    strict.
 
     Each inverse application P = x^(m) U also yields two order constraints
     equivalent to its bracket equation.  The point set always contains the
@@ -133,7 +136,6 @@ def _point_table(eq: IntensionalEquation,
     with 2^|m|, so each point costs one node of budget, spent as the point
     set is built: an exhausted budget stops the build itself."""
     points = delta_epsilon(eq, None if budget is None else budget.spend)
-    pts0 = sorted(points, key=lambda p: (len(p), p))
 
     def op_kind(p: Point) -> str:
         if not p:
@@ -144,7 +146,7 @@ def _point_table(eq: IntensionalEquation,
 
     sw_pts = []  # (a, b, strict): value(a) < value(b), or <= if not
     ends: set[Point] = set()  # each sandwich's point below its parent
-    for c in pts0:
+    for c in points:
         if op_kind(c) != "app":
             continue
         _, name, m = c[0]
@@ -162,7 +164,7 @@ def _point_table(eq: IntensionalEquation,
     # key; each point enters the heap once, when its parent is placed
     rank = {"cov": 0, "app0": 1, "app": 2, "unit": 3}
     children: dict[Point, list[Point]] = {}
-    for p in pts0:
+    for p in points:
         if p:
             children.setdefault(p[1:], []).append(p)
     pts = []
@@ -193,12 +195,8 @@ def _point_table(eq: IntensionalEquation,
     bracket_edges = [(parent, i, extra[0], extra[1])
                      for i, (kind, parent, extra, _) in enumerate(info)
                      if kind == "app" and extra[1] != 0]
-    by_point: dict[int, list] = {}
-    for a, b, strict in sw_pts:
-        con = (index[a], index[b], strict)
-        by_point.setdefault(con[0], []).append(con)
-        by_point.setdefault(con[1], []).append(con)
-    return pts, info, joinands, bracket_edges, by_point
+    sandwiches = [(index[a], index[b], strict) for a, b, strict in sw_pts]
+    return pts, info, joinands, bracket_edges, sandwiches
 
 
 # ----------------------------------------------------------- weak orders
@@ -331,12 +329,12 @@ def _plain_assignments(table, require_failure: bool,
     # per plain application, the earlier ones of its variable
     earlier: list[list] = [[] for _ in pts]
     apps: dict[str, list] = {}
+    for a, b, strict in sandwiches:  # filed at the later of the two
+        if a < b:
+            below[b].append((a, strict))
+        else:
+            above[a].append((b, strict))
     for i, (kind, parent, extra, s) in enumerate(info):
-        for a, b, strict in sandwiches.get(i, ()):
-            if b == i and a < i:
-                below[i].append((a, strict))
-            elif a == i and b < i:
-                above[i].append((b, strict))
         if require_failure and i in joinands and i > 0:
             above[i].append((0, 1))
         if kind == "cov":  # the two places next to the parent on side s

@@ -9,7 +9,9 @@ Input language (ASCII):
     postfix   :=  atom ("^l" | "^r" | "^(" ["-"] int ")")*
     atom      :=  ident | "1" | "(" term ")"
 
-Parentheses nest at most MAX_NESTING deep.
+Whitespace may separate any two tokens, also inside an inverse suffix
+(x^( - 3 )).  A name character directly after ^l or ^r (x^l1) is an
+error, not a new factor.  Parentheses nest at most MAX_NESTING deep.
 
 An equation is decided through its intensional form: a conjunction of
 inequalities 1 <= w_1 | ... | w_k where every w is a product of literals
@@ -89,126 +91,85 @@ class ParseError(ValueError):
 
 MAX_NESTING = 100
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-                       r"|(?P<int>\d+)"
-                       r"|(?P<op><=|[=|&*^()\-]))")
+# One token per match, after optional whitespace.  An inverse suffix is
+# one token, spaced as the input has it; an l or r directly followed by a
+# name character is not one.  "bad" is a character no token starts with.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<op><=|[=|&*()])|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<unit>1(?!\d))|(?P<int>\d+)"
+    r"|(?P<inv>\^\s*(?:(?P<lr>[lr])(?![A-Za-z_0-9])"
+    r"|\(\s*(?P<minus>-?)\s*(?P<m>\d+)\s*\)))|(?P<bad>\S))")
+
+_ATOM = ("name", "unit", "(")  # the kinds that can start a factor
+
+# per binary level by its separator: its node and the level below it
+# ("" below products: their factors)
+_LEVELS = {"|": (Join, "&"), "&": (Meet, "*"), "*": (Prod, "")}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    """(kind, value, position) per token, then ("end", "", len(text)).  An
+    operator's kind is its text, and an inverse suffix's value is m."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r} at {pos}")
-        if m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        elif m.lastgroup == "int":
-            tokens.append(("int", m.group("int"), m.start("int")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for t in _TOKEN_RE.finditer(text):
+        kind = t.lastgroup
+        val, pos = t[kind], t.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {val!r} at {pos}")
+        if kind == "op":
+            kind = val
+        elif kind == "inv":
+            val = int(t["minus"] + t["m"]) if t["m"] else (
+                1 if t["lr"] == "l" else -1)
+        tokens.append((kind, val, pos))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
+    def take(self, *expected: str) -> tuple[str, object, int]:
+        """Consume the next token and return it; ParseError at its
+        position when its kind is not one of expected."""
         tok = self.tokens[self.i]
+        if tok[0] not in expected:
+            raise ParseError(f"expected {' or '.join(expected)} at {tok[2]}")
         self.i += 1
         return tok
 
-    def expect(self, value):
-        kind, val, pos = self.take()
-        if val != value:
-            raise ParseError(f"expected {value!r} at {pos}, got {val!r}")
-
-    def fail(self, msg):
-        _, val, pos = self.peek()
-        raise ParseError(f"{msg} at {pos} (near {val!r})")
-
     def equation(self) -> Equation:
         lhs = self.term()
-        kind, val, pos = self.take()
-        if val not in ("=", "<="):
-            raise ParseError(f"expected '=' or '<=' at {pos}, got {val!r}")
+        relation = self.take("=", "<=")[0]
         rhs = self.term()
-        if self.peek()[0] != "end":
-            self.fail("trailing input")
-        return Equation(lhs, rhs, val)
+        self.take("end")
+        return Equation(lhs, rhs, relation)
 
-    def term(self) -> Term:
-        arms = [self.meet()]
-        while self.peek()[1] == "|":
-            self.take()
-            arms.append(self.meet())
-        return arms[0] if len(arms) == 1 else Join(tuple(arms))
-
-    def meet(self) -> Term:
-        arms = [self.prod()]
-        while self.peek()[1] == "&":
-            self.take()
-            arms.append(self.prod())
-        return arms[0] if len(arms) == 1 else Meet(tuple(arms))
-
-    def prod(self) -> Term:
-        factors = [self.postfix()]
+    def term(self, sep: str = "|") -> Term:
+        """The level of separator sep, "|" for a whole term: args of the
+        level below, one node when there are two or more.  The factors of
+        a product may also stand side by side."""
+        node, below = _LEVELS[sep]
+        tokens = self.tokens
+        args = []
         while True:
-            kind, val, _ = self.peek()
-            if val == "*":
-                self.take()
-                factors.append(self.postfix())
-            elif kind == "name" or val == "(" or (kind == "int" and val == "1"):
-                factors.append(self.postfix())
-            else:
+            args.append(self.term(below) if below else self.factor())
+            kind = tokens[self.i][0]
+            if kind == sep:
+                self.i += 1
+            elif node is not Prod or kind not in _ATOM:
                 break
-        return factors[0] if len(factors) == 1 else Prod(tuple(factors))
+        return args[0] if len(args) == 1 else node(tuple(args))
 
-    def postfix(self) -> Term:
-        t = self.atom()
-        while self.peek()[1] == "^":
-            self.take()
-            kind, val, pos = self.take()
-            if val == "l":
-                t = Inv(t, 1)
-            elif val == "r":
-                t = Inv(t, -1)
-            elif val == "(":
-                sign = 1
-                if self.peek()[1] == "-":
-                    self.take()
-                    sign = -1
-                kind, val, pos = self.take()
-                if kind != "int":
-                    raise ParseError(f"expected integer at {pos}")
-                self.expect(")")
-                t = Inv(t, sign * int(val))
-            else:
-                raise ParseError(
-                    f"expected 'l', 'r' or '(m)' after '^' at {pos}")
-        return t
-
-    def atom(self) -> Term:
-        kind, val, pos = self.take()
-        if kind == "name":
-            return Var(val)
-        if kind == "int":
-            if val == "1":
-                return Unit()
-            raise ParseError(f"only the unit constant 1 is allowed, "
-                             f"got {val} at {pos}")
-        if val == "(":
+    def factor(self) -> Term:
+        """An atom and its inverse suffixes, taken in a loop."""
+        kind, val, pos = self.take(*_ATOM)
+        if kind != "(":
+            t = Var(val) if kind == "name" else Unit()
+        else:
             # each level costs several stack frames here and in the
             # recursive normal form; refuse before Python's limit
             if self.depth == MAX_NESTING:
@@ -216,11 +177,11 @@ class _Parser:
                                  f"{MAX_NESTING} at {pos}")
             self.depth += 1
             t = self.term()
-            self.expect(")")
+            self.take(")")
             self.depth -= 1
-            return t
-        raise ParseError(f"expected a variable, '1' or '(' at {pos}, "
-                         f"got {val!r}")
+        while self.tokens[self.i][0] == "inv":
+            t = Inv(t, self.take("inv")[1])
+        return t
 
 
 def parse(text: str) -> Equation:

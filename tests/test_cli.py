@@ -171,6 +171,32 @@ def test_dlp_paths(capsys):
     assert decide.verify_witness("x y = y x", w)
 
 
+def test_dlp_period_past_the_int_to_str_limit_exits_three(capsys,
+                                                          monkeypatch):
+    # size 14,230: the period 2^s * s^4 has 4,301 digits, one past
+    # Python's default int-to-str limit, which the envelope would hit
+    # after the search (exit 4 with a traceback); refused before it
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(decide, "decide_dlp", no_search)
+    code, out, err = run(capsys, "decide", "--theory", "dlp", "--budget",
+                         "100", "1 <= x^(14226) x")
+    assert code == 3 and out == ""
+    assert "Traceback" not in err
+    assert "s = 14230" in err and "4301 digits" in err and "4300" in err
+    # an exponent of 400 digits, past what a float holds
+    code, _, err = run(capsys, "decide", "--theory", "dlp",
+                       f"1 <= x^({'9' * 400}) x")
+    assert code == 3 and "at least" in err and "Traceback" not in err
+    monkeypatch.undo()
+
+    code, out, err = run(capsys, "decide", "--theory", "dlp", "--budget",
+                         "100", "1 <= x^(14225) x")
+    assert code == 2, err
+    assert json.loads(out)["n"] == 2 ** 14229 * 14229 ** 4
+
+
 def test_complete_warning_only_without_a_budget(capsys):
     argv = ("decide", "--theory", "dlp", "--complete", "1 <= x")
     assert "warning" in run(capsys, *argv)[2]

@@ -305,7 +305,11 @@ def _plain_assignments_by_value(table, require_failure: bool,
     """Assignments of the points of a _point_table onto 0..q-1, for every
     chain size q up to the point count, q ascending (the closures below
     read q from the loop at the end)."""
-    pts, info, joinands, bracket_edges, sandwiches = table
+    pts, info, joinands, bracket_edges, sandwich_list = table
+    sandwiches: dict[int, list] = {}  # each sandwich under both its points
+    for con in sandwich_list:
+        sandwiches.setdefault(con[0], []).append(con)
+        sandwiches.setdefault(con[1], []).append(con)
     npts = len(pts)
     val: list[Optional[int]] = [None] * npts
     unit = next(i for i, (kind, *_) in enumerate(info) if kind == "unit")
@@ -625,11 +629,10 @@ def assert_point_order_fixed(eq):
     """The table's order is the re-keying reference's, and every sandwich
     joins a point to a descendant two or three levels below it, placed
     after it."""
-    pts, _, _, _, by_point = search._point_table(eq)
+    pts, _, _, _, sandwiches = search._point_table(eq)
     assert pts == _point_order_by_rekeying(eq)
-    pairs = {con for cons in by_point.values() for con in cons}
-    assert pairs
-    for a, b, _ in pairs:
+    assert sandwiches
+    for a, b, _ in sandwiches:
         top, low = sorted((a, b), key=lambda i: len(pts[i]))
         depth = len(pts[low]) - len(pts[top])
         assert depth in (2, 3), (pts[a], pts[b])

@@ -6,25 +6,32 @@ each rewriting step is an equivalence over those algebras.  Evaluating both
 sides directly is a complete check up to the sampled assignments and is
 where any distribution or inverse-pushing bug would surface.  The
 conjunct lists themselves, order included, are checked against a two-pass
-reference normal form kept here.
+reference normal form kept here, and the parser against the one it
+replaced.
 """
 
 import itertools
 import math
+import re
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import (assume, example, given, settings,
                         strategies as st)
 
 from lpregroup import fnz, lexfn, term
-from lpregroup.term import (Equation, IntensionalEquation, Inv, Join, Meet,
-                            ParseError, Prod, Unit, Var, delta_epsilon,
-                            final_subwords, literal_str, parse,
-                            point_of_word, to_intensional)
+from lpregroup.term import (MAX_NESTING, Equation, IntensionalEquation, Inv,
+                            Join, Meet, ParseError, Prod, Term, Unit, Var,
+                            delta_epsilon, final_subwords, literal_str,
+                            parse, point_of_word, to_intensional)
 
 from test_fnz import periodic_fns
 from test_lexfn import lex_fns, lex_points
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import random_cases  # noqa: E402
 
 
 # ----------------------------------------------------------------- oracles
@@ -80,6 +87,16 @@ def test_parse_postfix():
     assert parse("x^l^l <= 1").lhs == Inv(Inv(Var("x"), 1), 1)
     assert parse("x^(-2) <= 1").lhs == Inv(Var("x"), -2)
     assert parse("(x y)^l <= 1").lhs == Inv(Prod((Var("x"), Var("y"))), 1)
+    # whitespace may separate the parts of a suffix, tabs and newlines too
+    for text in ("x ^ l <= 1", "x^\nl <= 1"):
+        assert parse(text).lhs == Inv(Var("x"), 1)
+    for text in ("x^( - 3 ) <= 1", "x^(\t-\t3\t) <= 1", "x ^\n(-3\n) <= 1"):
+        assert parse(text).lhs == Inv(Var("x"), -3)
+    assert parse("x^ (2) <= 1").lhs == Inv(Var("x"), 2)
+    assert parse("x^(-0) <= x").lhs == Inv(Var("x"), 0)
+    assert parse("x^(2)x1 <= 1").lhs == Prod((Inv(Var("x"), 2), Var("x1")))
+    assert parse("x^l(y) <= 1").lhs == Prod((Inv(Var("x"), 1), Var("y")))
+    assert parse("1x <= 1").lhs == Prod((Unit(), Var("x")))
 
 
 def test_parse_explicit_star_and_parens():
@@ -91,7 +108,10 @@ def test_parse_explicit_star_and_parens():
 
 def test_parse_errors():
     for bad in ["x <", "x <= ", "<= x", "x ^ q <= 1", "x^() <= 1",
-                "2 <= x", "x & <= y", "x <= y)", "x@y <= 1", "x <= y z)"]:
+                "2 <= x", "x & <= y", "x <= y)", "x@y <= 1", "x <= y z)",
+                "x^l1 <= 1", "x^left <= 1", "x^lx <= 1", "x^(+1) <= x",
+                "01 <= x", "x 10 <= 1", "x - y <= 1", "x^ <= 1",
+                "x^(y) <= 1", "x^(--1) <= 1", "^l <= x"]:
         with pytest.raises(ParseError):
             parse(bad)
 
@@ -106,6 +126,236 @@ def test_sizes():
 
 def test_variables():
     assert term.variables(parse("x y^l | 1 <= z").lhs) == {"x", "y"}
+
+
+# ------------------------------------------------ reference parser
+#
+# The tokenizer and parser as they were before the lexer read an inverse
+# suffix as one token, kept verbatim as the reference for term.parse.
+
+_TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+                       r"|(?P<int>\d+)"
+                       r"|(?P<op><=|[=|&*^()\-]))")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m or m.end() == pos:
+            if text[pos:].strip() == "":
+                break
+            raise ParseError(f"unexpected character {text[pos]!r} at {pos}")
+        if m.lastgroup == "name":
+            tokens.append(("name", m.group("name"), m.start("name")))
+        elif m.lastgroup == "int":
+            tokens.append(("int", m.group("int"), m.start("int")))
+        else:
+            tokens.append(("op", m.group("op"), m.start("op")))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, value):
+        kind, val, pos = self.take()
+        if val != value:
+            raise ParseError(f"expected {value!r} at {pos}, got {val!r}")
+
+    def fail(self, msg):
+        _, val, pos = self.peek()
+        raise ParseError(f"{msg} at {pos} (near {val!r})")
+
+    def equation(self) -> Equation:
+        lhs = self.term()
+        kind, val, pos = self.take()
+        if val not in ("=", "<="):
+            raise ParseError(f"expected '=' or '<=' at {pos}, got {val!r}")
+        rhs = self.term()
+        if self.peek()[0] != "end":
+            self.fail("trailing input")
+        return Equation(lhs, rhs, val)
+
+    def term(self) -> Term:
+        arms = [self.meet()]
+        while self.peek()[1] == "|":
+            self.take()
+            arms.append(self.meet())
+        return arms[0] if len(arms) == 1 else Join(tuple(arms))
+
+    def meet(self) -> Term:
+        arms = [self.prod()]
+        while self.peek()[1] == "&":
+            self.take()
+            arms.append(self.prod())
+        return arms[0] if len(arms) == 1 else Meet(tuple(arms))
+
+    def prod(self) -> Term:
+        factors = [self.postfix()]
+        while True:
+            kind, val, _ = self.peek()
+            if val == "*":
+                self.take()
+                factors.append(self.postfix())
+            elif kind == "name" or val == "(" or (kind == "int" and val == "1"):
+                factors.append(self.postfix())
+            else:
+                break
+        return factors[0] if len(factors) == 1 else Prod(tuple(factors))
+
+    def postfix(self) -> Term:
+        t = self.atom()
+        while self.peek()[1] == "^":
+            self.take()
+            kind, val, pos = self.take()
+            if val == "l":
+                t = Inv(t, 1)
+            elif val == "r":
+                t = Inv(t, -1)
+            elif val == "(":
+                sign = 1
+                if self.peek()[1] == "-":
+                    self.take()
+                    sign = -1
+                kind, val, pos = self.take()
+                if kind != "int":
+                    raise ParseError(f"expected integer at {pos}")
+                self.expect(")")
+                t = Inv(t, sign * int(val))
+            else:
+                raise ParseError(
+                    f"expected 'l', 'r' or '(m)' after '^' at {pos}")
+        return t
+
+    def atom(self) -> Term:
+        kind, val, pos = self.take()
+        if kind == "name":
+            return Var(val)
+        if kind == "int":
+            if val == "1":
+                return Unit()
+            raise ParseError(f"only the unit constant 1 is allowed, "
+                             f"got {val} at {pos}")
+        if val == "(":
+            # each level costs several stack frames here and in the
+            # recursive normal form; refuse before Python's limit
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than "
+                                 f"{MAX_NESTING} at {pos}")
+            self.depth += 1
+            t = self.term()
+            self.expect(")")
+            self.depth -= 1
+            return t
+        raise ParseError(f"expected a variable, '1' or '(' at {pos}, "
+                         f"got {val!r}")
+
+
+def parse_reference(text: str) -> Equation:
+    return _Parser(text).equation()
+
+
+def assert_parses_as_reference(text: str):
+    """term.parse gives the reference's AST, or both raise ParseError,
+    term.parse's naming a character position."""
+    try:
+        expected = parse_reference(text)
+    except ParseError:
+        with pytest.raises(ParseError, match=r" at \d+$"):
+            parse(text)
+    else:
+        assert parse(text) == expected
+
+
+_SPACES = st.sampled_from(("", " ", "\t", "\n", " \t\n "))
+_OPERANDS = ("x", "y", "x1", "left", "l", "r", "1", "01", "10")
+_NEAR_MISSES = ("^", "(", ")", "-", "+", "|", "&", "*", "=", "<=", "<", "@")
+
+
+@st.composite
+def inverse_suffixes(draw):
+    """^l, ^r or ^(m), blanks, tabs and newlines between their parts, and
+    signs the grammar refuses."""
+    s = [draw(_SPACES) for _ in range(4)]
+    if draw(st.booleans()):
+        return f"^{s[0]}{draw(st.sampled_from('lr'))}"
+    sign = draw(st.sampled_from(("", "-", "+", "--")))
+    digits = draw(st.sampled_from(("0", "3", "01", "12")))
+    return f"^{s[0]}({s[1]}{sign}{s[2]}{digits}{s[3]})"
+
+
+@st.composite
+def token_strings(draw):
+    """Text over the token alphabet, each token followed by whitespace:
+    operands (names or integers with inverse suffixes, some in
+    parentheses) between operators, around one relation.  One token in
+    ten is a near miss, so both accepted and refused text comes up.  The
+    simplest draw of each choice is the plain one, for shrinking."""
+    def token(options) -> str:
+        if draw(st.integers(0, 9)) == 9:
+            options = _NEAR_MISSES
+        return draw(st.sampled_from(options)) + draw(_SPACES)
+
+    def operand(depth: int) -> str:
+        if depth < 2 and draw(st.integers(0, 3)) == 3:
+            text = "(" + draw(_SPACES) + side(depth + 1) + ")"
+        else:
+            text = token(_OPERANDS)
+        for _ in range(draw(st.integers(0, 2))):
+            text += draw(inverse_suffixes()) + draw(_SPACES)
+        return text
+
+    def side(depth: int = 0) -> str:
+        text = operand(depth)
+        for _ in range(draw(st.integers(0, 2))):
+            text += token(("", "*", "|", "&")) + operand(depth)
+        return text
+
+    return side() + token(("<=", "=")) + side()
+
+
+@settings(max_examples=500, deadline=None)
+@given(token_strings())
+@example("x ^ l <= 1")
+@example("x^( - 3 ) <= 1")
+@example("x^(\t-\t3\t) <= 1")
+@example("x^ (2) <= 1")
+@example("x^(2)x1 <= 1")
+@example("x^l(y) <= 1")
+@example("x^(-0) <= x")
+@example("1x <= 1")
+@example("x^l1 <= 1")
+@example("x^left <= 1")
+@example("x^lx <= 1")
+@example("x^(+1) <= x")
+@example("01 <= x")
+@example("x 10 <= 1")
+@example("x - y <= 1")
+def test_parser_matches_the_reference(text):
+    assert_parses_as_reference(text)
+
+
+def test_parser_matches_the_reference_on_the_benchmark_draws():
+    texts = {case.eq for seed in (1, 2, 3)
+             for case in random_cases(seed, 6_000)}
+    for text in texts:
+        assert parse(text) == parse_reference(text)
 
 
 # ------------------------------------------------------------ normalization
