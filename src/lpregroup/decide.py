@@ -29,6 +29,32 @@ default, sets it to DEFAULT_NODE_BUDGET and complete mode to none; an
 explicit budget bounds the whole search in either mode.  Both modes
 read a verdict the same way.
 
+At n > 1 the search first runs at period 1, on at most PERIOD_ONE_SLICE
+nodes of that budget and at most half of it.  A failure there refutes
+the equation at n, because the periods form a chain of subalgebras and
+subvarieties: for d | n a d-periodic map is n-periodic, so F_d(Z) is a
+subalgebra of F_n(Z), and x^(2d) = x implies x^(2n) = x, so LP_d is
+contained in LP_n, and every LP_n in DLP.  An inequality that fails in
+a subalgebra fails in the algebra, and one that fails in a subvariety
+fails in the variety.  The search at d makes the rewrites below with d
+for n, which is sound in F_d(Z) and LP_d, both d-periodic, and its
+witness is checked on the original exponents all the same.  That
+witness keeps its period: Witness.n is 1, stats["witness_period"] says
+so, and Verdict.n stays n.  Lifting it to n would multiply its steps by
+n, out of reach at decide_dlp's period.  A period-1 search that is
+exhausted or cut by its slice says nothing about n, so the search at n
+then runs on the rest of the budget, from scratch, and only it can give
+"valid": a valid equation pays at most the slice.
+
+stats["periods"] records each search: its period "d", its "nodes" and
+"embed_nodes", and its "outcome" ("fails", "exhausted", or where its
+budget ran out).  The totals stats["nodes"], stats["embed_nodes"],
+stats["failing_candidates"] and stats["embeddings_refuted"] sum over
+the searches, and stats["renamed_conjuncts"] counts the skips of the
+last one, which gave the verdict.  Conjuncts are dropped at n, and
+counted in stats["expansion_conjuncts"], before either search: one
+that holds at n holds at 1, so neither search looks at it.
+
 Conjuncts are searched in order, and a conjunct that is a renaming of
 an earlier one (term.conjunct_key) is skipped.  Its variables are
 universally quantified, so it makes the same claim as that earlier one,
@@ -82,6 +108,10 @@ UNKNOWN = "unknown-budget-exhausted"
 
 # capped-mode default: nodes across the whole decision
 DEFAULT_NODE_BUDGET = 2_000_000
+# nodes of a decision's budget that the search at period 1 may spend
+# before the search at n > 1, the one that cuts it included; at most
+# half the budget when that is less
+PERIOD_ONE_SLICE = 256
 
 FnPoint = Union[int, tuple[Fraction, int]]
 
@@ -255,17 +285,20 @@ def realize_lex_witness(pd: PartitionDiagram, e: SpacingEmbedding,
     return Witness("FnQxZ", n, fns, p, 0, checked)
 
 
-def verify_witness(eq: Union[Equation, str], w: Witness) -> bool:
+def verify_witness(eq: Union[Equation, str, list[IntensionalEquation]],
+                   w: Witness) -> bool:
     """Re-check a witness by direct evaluation, independent of the search
     that produced it: every joinand of the claimed conjunct must evaluate
-    strictly below the witness point.  Raises KeyError when the
-    assignment is missing a variable of that conjunct, and ValueError when
-    an assigned function's period is not the witness's."""
+    strictly below the witness point.  eq may also be given as its list
+    of term.conjuncts, as the deciders do to skip parsing it again.
+    Raises KeyError when the assignment is missing a variable of that
+    conjunct, and ValueError when an assigned function's period is not
+    the witness's."""
     for name, f in w.assignment.items():
         if f.n != w.n:
             raise ValueError(f"malformed witness: {name} has period {f.n}, "
                              f"the witness claims {w.n}")
-    conjuncts = term.conjuncts(eq)
+    conjuncts = eq if isinstance(eq, list) else term.conjuncts(eq)
     if not 0 <= w.conjunct < len(conjuncts):
         return False
     conj = conjuncts[w.conjunct]
@@ -293,53 +326,97 @@ def _decide(eq: Union[Equation, str], n: int, complete: bool,
     nb = NodeBudget(budget)
     stats = {"failing_candidates": 0, "embeddings_refuted": 0,
              "expansion_conjuncts": 0, "renamed_conjuncts": 0,
-             "embed_nodes": 0, "embed_s": 0.0}
-    decided = set()  # conjunct_key of every conjunct searched so far
+             "embed_nodes": 0, "embed_s": 0.0, "periods": []}
     t0 = time.perf_counter()
+    live = []  # (index, conjunct rewritten at n) of each one to search
+    for ci, conj in enumerate(conjuncts):
+        conj = term.reduce_exponents(conj, n)
+        if any(term.expands_to_unit(w, n) for w in conj.joinands):
+            stats["expansion_conjuncts"] += 1  # holds: a joinand >= 1
+        else:
+            live.append((ci, conj))
+
+    def search(d: int) -> Optional[Witness]:
+        """Search the live conjuncts for a failure at period d, which
+        divides n, and return its verified witness, or None once the
+        search is exhausted.  Raises BudgetExceeded when nb runs out;
+        stats["periods"] gets a record of the search either way."""
+        used0, embed0 = nb.used, stats["embed_nodes"]
+        rec = {"d": d, "outcome": "exhausted"}
+        stats["periods"].append(rec)
+        stats["renamed_conjuncts"] = 0  # counts the last search's skips
+        decided = set()  # conjunct_key of every conjunct searched so far
+        where = "enumeration"
+        try:
+            for ci, conj in live:
+                if d != n:  # a conjunct that holds at n holds at d
+                    conj = term.reduce_exponents(conjuncts[ci], d)
+                    if any(term.expands_to_unit(w, d) for w in conj.joinands):
+                        continue
+                key = term.conjunct_key(conj)
+                if key in decided:  # renames an earlier one, with no witness
+                    stats["renamed_conjuncts"] += 1
+                    continue
+                decided.add(key)
+                for cand in enumerate_failing(conj, require_failure=True,
+                                              budget=nb, n=d):
+                    stats["failing_candidates"] += 1
+                    used, t_embed = nb.used, time.perf_counter()
+                    where = "embedding"
+                    try:
+                        emb = spacing.find_witness_embedding(
+                            cand.chain, cand.fns, d, node_budget=nb)
+                    finally:
+                        stats["embed_nodes"] += nb.used - used
+                        stats["embed_s"] += time.perf_counter() - t_embed
+                    where = "enumeration"
+                    if emb is None:
+                        stats["embeddings_refuted"] += 1
+                        continue
+                    w = dataclasses.replace(realize(cand, emb, conj, d, names),
+                                            conjunct=ci)
+                    if not verify_witness(conjuncts, w):
+                        raise AssertionError(
+                            "witness failed independent re-verification")
+                    rec["outcome"] = FAILS
+                    return w
+            return None
+        except BudgetExceeded:
+            rec["outcome"] = where
+            raise
+        finally:
+            rec["embed_nodes"] = stats["embed_nodes"] - embed0
+            rec["nodes"] = nb.used - used0 - rec["embed_nodes"]
 
     def finish(status, witness=None):
+        if status == UNKNOWN:
+            stats["stopped_by"] = stats["periods"][-1]["outcome"]
+        if witness is not None:
+            stats["witness_period"] = witness.n
         stats["nodes"] = nb.used - stats["embed_nodes"]
         stats["time_s"] = round(time.perf_counter() - t0, 3)
         stats["embed_s"] = round(stats["embed_s"], 3)
         return Verdict(status, n, mode, witness, stats)
 
+    # a period-1 witness refutes the equation at n.  The slice counts the
+    # node that cuts it, and leaves at least half the budget to n
+    cut = PERIOD_ONE_SLICE if budget is None else min(PERIOD_ONE_SLICE,
+                                                      budget // 2)
+    if n > 1 and cut > 0 and live:
+        nb.limit = cut - 1
+        try:
+            w = search(1)
+        except BudgetExceeded:
+            w = None  # a cut search says nothing about n
+        nb.limit = budget
+        if w is not None:
+            return finish(FAILS, w)
     try:
-        for ci, conj in enumerate(conjuncts):
-            conj = term.reduce_exponents(conj, n)
-            if any(term.expands_to_unit(w, n) for w in conj.joinands):
-                stats["expansion_conjuncts"] += 1  # holds: a joinand >= 1
-                continue
-            key = term.conjunct_key(conj)
-            if key in decided:  # renames an earlier one, which had no witness
-                stats["renamed_conjuncts"] += 1
-                continue
-            decided.add(key)
-            for cand in enumerate_failing(conj, require_failure=True,
-                                          budget=nb, n=n):
-                stats["failing_candidates"] += 1
-                used, t_embed = nb.used, time.perf_counter()
-                try:
-                    emb = spacing.find_witness_embedding(
-                        cand.chain, cand.fns, n, node_budget=nb)
-                except BudgetExceeded:
-                    stats["stopped_by"] = "embedding"
-                    raise
-                finally:
-                    stats["embed_nodes"] += nb.used - used
-                    stats["embed_s"] += time.perf_counter() - t_embed
-                if emb is None:
-                    stats["embeddings_refuted"] += 1
-                    continue
-                w = dataclasses.replace(realize(cand, emb, conj, n, names),
-                                        conjunct=ci)
-                if not verify_witness(eq, w):
-                    raise AssertionError(
-                        "witness failed independent re-verification")
-                return finish(FAILS, w)
+        w = search(n)
     except BudgetExceeded:
-        stats.setdefault("stopped_by", "enumeration")
         return finish(UNKNOWN)
-    return finish(VALID)  # each candidate refuted up to the proof bound
+    # valid: each candidate was refuted up to the proof bound
+    return finish(VALID if w is None else FAILS, w)
 
 
 def decide_fnz(eq: Union[Equation, str], n: int, complete: bool = False,

@@ -27,13 +27,34 @@ from test_term import conjuncts_xyz, equations, renaming, terms
 
 
 def assert_stats_contract(v: Verdict, eq: str, budget=None):
-    # every candidate drawn gets exactly one embedding attempt, and the
-    # search stops at the first embedding found or the first attempt
-    # that runs out of budget
+    # at n > 1 a search at period 1 may come first; the last search gave
+    # the verdict, and an earlier one found nothing
     s = v.stats
-    assert s["failing_candidates"] == (s["embeddings_refuted"]
-                                       + (s.get("stopped_by") == "embedding")
-                                       + (v.status == FAILS))
+    *before, last = s["periods"]
+    assert len(before) <= (v.n > 1)
+    assert all(p["d"] == 1 and p["outcome"] != FAILS for p in before)
+    assert last["d"] == (v.witness.n if v.status == FAILS else v.n)
+    # a search at period 1 spends at most its slice, the node that cuts
+    # it included, and at most half the budget
+    for p in before:
+        spent = p["nodes"] + p["embed_nodes"]
+        assert spent <= decide.PERIOD_ONE_SLICE
+        assert budget is None or spent <= budget // 2
+    # the totals sum over the searches
+    assert s["nodes"] == sum(p["nodes"] for p in s["periods"])
+    assert s["embed_nodes"] == sum(p["embed_nodes"] for p in s["periods"])
+    # every candidate drawn gets exactly one embedding attempt, and a
+    # search stops at the first embedding found or the first attempt
+    # that runs out of budget, its slice's or the decision's
+    assert s["failing_candidates"] == (
+        s["embeddings_refuted"]
+        + sum(p["outcome"] in ("embedding", FAILS) for p in s["periods"]))
+    assert last["outcome"] == {VALID: "exhausted", FAILS: FAILS}.get(
+        v.status, s.get("stopped_by"))
+    if v.status == FAILS:
+        assert s["witness_period"] == v.witness.n
+    else:
+        assert "witness_period" not in s
     # the embedding attempts' time is part of the total
     assert 0 <= s["embed_s"] <= s["time_s"]
     # one budget bounds the enumeration and the embedding searches, and
@@ -45,13 +66,11 @@ def assert_stats_contract(v: Verdict, eq: str, budget=None):
     conjs = term.conjuncts(eq)
     assert 0 <= s["renamed_conjuncts"] < max(len(conjs), 1)
     # a dropped conjunct has a joinand that expands to the unit once its
-    # exponents are reduced, and a run through every conjunct drops all
+    # exponents are reduced at n, and every one that does is dropped
     expanding = sum(any(term.expands_to_unit(w, v.n) for w in
                         term.reduce_exponents(c, v.n).joinands)
                     for c in conjs)
-    assert 0 <= s["expansion_conjuncts"] <= expanding
-    if v.status == VALID:
-        assert s["expansion_conjuncts"] == expanding
+    assert s["expansion_conjuncts"] == expanding
     assert s["expansion_conjuncts"] + s["renamed_conjuncts"] <= len(conjs)
     # an unknown names where the budget ran out, and a decided run names
     # nothing
@@ -194,6 +213,20 @@ def test_failed_reverification_raises_under_optimize():
     assert proc.stdout.split() == ["raised", "False", "1"], proc.stderr
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_fails_verdict_normalizes_the_equation_once(monkeypatch, n):
+    # the witness is re-verified against the conjunct list the decision
+    # already built, not against the equation parsed again
+    calls = []
+    to_intensional = term.to_intensional
+    monkeypatch.setattr(term, "to_intensional",
+                        lambda eq: calls.append(eq) or to_intensional(eq))
+    v = decide.decide_lpn("x y = y x", n)
+    assert v.status == FAILS and len(calls) == 1
+    assert verify_witness(term.conjuncts("x y = y x"), v.witness)
+    assert verify_witness("x y = y x", v.witness)
+
+
 def test_verify_rejects_identity_assignment():
     w = Witness("FnZ", 2, {"x": fnz.id_fn(2)}, 0)
     assert not verify_witness("1 <= x", w)
@@ -264,15 +297,30 @@ def test_lpn_failure_at_a_small_period_refutes_in_dlp():
 
 
 def test_dlp_complete_run_fails_with_a_verified_witness():
-    # s = 6, so complete mode runs at N = 2^6 * 6^4 = 82,944 itself
-    v = decide.decide_dlp("x y = y x", complete=True)
+    # s = 6, so complete mode runs at N = 2^6 * 6^4 = 82,944 itself: the
+    # equation holds at period 1, where x^(4) is x, so no search there
+    # refutes it first
+    eq = "x^(4) = x"
+    v = decide.decide_dlp(eq, complete=True)
     assert v.status == FAILS and v.mode == "complete"
-    assert v.n == v.witness.n == 82_944
-    assert verify_witness("x y = y x", v.witness)
-    assert_stats_contract(v, "x y = y x")
-    # the same equation fails completely at a small period, under lpn
-    v = decide.decide_lpn("x y = y x", 1, complete=True)
-    assert v.status == FAILS
+    assert v.n == v.witness.n == v.stats["witness_period"] == 82_944
+    assert verify_witness(eq, v.witness)
+    assert_stats_contract(v, eq)
+    assert decide.decide_lpn(eq, 1, complete=True).status == VALID
+
+
+@pytest.mark.parametrize("eq, N", [("1 <= x^(-6) x", 10_240_000),
+                                   ("((x^r)^r)^r = x", 20_000)])
+def test_dlp_refutes_at_period_one_first(eq, N):
+    # both fail in LP_1, which LP_N contains: searched at N alone they
+    # took 2,000,001 nodes (unknown) and 408,347 nodes
+    v = decide.decide_dlp(eq)
+    assert v.status == FAILS and v.n == N
+    assert v.witness.n == v.stats["witness_period"] == 1
+    assert [p["d"] for p in v.stats["periods"]] == [1]
+    assert v.stats["nodes"] + v.stats["embed_nodes"] < 100
+    assert verify_witness(eq, v.witness)
+    assert_stats_contract(v, eq)
 
 
 # ----------------------------------------------------------------- budgets
@@ -288,11 +336,13 @@ def test_budget_exhaustion_reports_unknown():
 
 
 def test_reduced_exponent_fails_and_verifies_on_the_original():
-    # y^(4) = y^(-2) at n = 3; searched as y^(4) the conjunct stays
-    # unknown at 20,000 nodes, searched as y^(-2) it fails in 63
+    # searched as y^(4) the conjunct stays unknown at 20,000 nodes at
+    # n = 3; y^(4) = y^(-2) there, and y^(4) = y at period 1, where the
+    # search fails in 10 nodes
     eq = "1 <= y^(4) x"
     v = decide.decide_lpn(eq, 3, budget=20_000)
-    assert v.status == FAILS and v.stats["nodes"] == 63
+    assert v.status == FAILS and v.stats["nodes"] == 10
+    assert v.witness.n == 1
     [conj] = term.conjuncts(eq)
     assert conj.joinands == ((("y", 4), ("x", 0)),)
     assert v.witness.conjunct == 0
@@ -330,12 +380,13 @@ def test_long_product_searches_past_the_recursion_limit(proc):
 
 
 def test_capped_run_with_large_point_set_returns_quickly():
-    # x^(12) has 12,288 points at n=13; ordering them used to take a
-    # quadratic scan that ran for minutes before the budget could bite.
-    # Here and below the period is above the exponent, which exponent
-    # reduction mod 2n would otherwise shrink
+    # x^(13) has about 3 * 2^13 points at n=14; ordering them used to
+    # take a quadratic scan that ran for minutes before the budget could
+    # bite.  Here and below the period is above the exponent, which
+    # exponent reduction mod 2n would otherwise shrink, and the exponent
+    # is odd: at period 1 x^(13) x is x^l x >= 1, which needs no search
     t0 = time.perf_counter()
-    v = decide.decide_fnz("1 <= x^(12) x", 13, budget=1000)
+    v = decide.decide_fnz("1 <= x^(13) x", 14, budget=1000)
     assert time.perf_counter() - t0 < 10
     assert v.status == UNKNOWN
 
@@ -385,13 +436,14 @@ def _run_child(code, *args, timeout):
 
 _TABLE_RSS = """
 from lpregroup import decide
-print(decide.decide_fnz("1 <= x^(14) x", 15, budget=1000).status)
+print(decide.decide_fnz("1 <= x^(15) x", 16, budget=1000).status)
 """ + _PEAK_KB
 
 
 def test_capped_run_charges_the_point_table_first():
-    # x^(14) has 49,152 points at n=15; their table and bound lists took
-    # over a gigabyte, so the budget must run out before they are built
+    # x^(15) has about 3 * 2^15 points at n=16; such a table and its
+    # bound lists took over a gigabyte, so the budget must run out before
+    # they are built
     status, rss_kb = _run_child(_TABLE_RSS, timeout=60)
     assert status == UNKNOWN
     assert int(rss_kb) < 400 * 1024
@@ -409,11 +461,11 @@ print(v.status, v.stats["stopped_by"], v.stats["nodes"],
 """ + _PEAK_KB
 
 
-@pytest.mark.parametrize("eq, n", [("1 <= x^(16) x", 17),
-                                   ("1 <= x^(40) x", 41)])
+@pytest.mark.parametrize("eq, n", [("1 <= x^(17) x", 18),
+                                   ("1 <= x^(41) x", 42)])
 def test_capped_run_stops_inside_the_point_set(eq, n):
-    # the point set doubles with each unit of |m| (x^(40) would need
-    # about 3 * 2^40 points), so the budget is charged point by point
+    # the point set doubles with each unit of |m| (x^(41) would need
+    # about 3 * 2^41 points), so the budget is charged point by point
     # while it is built and stops the build one point past the limit
     run, rss_kb = _run_child(_POINT_SET_RSS, eq, str(n), timeout=60)
     status, stopped_by, nodes, wall_s = run.split()
@@ -468,25 +520,26 @@ def test_conjunct_selections_fold_within_memory():
 _DLP_REALIZE = """
 import json
 from lpregroup import decide
-v = decide.decide_dlp("x y = y x", budget=200_000)
+v = decide.decide_dlp("x^(4) = x", budget=200_000)
 print(json.dumps(v.to_json()))
 """
 
 
 def test_capped_dlp_realizes_at_the_reduced_period():
-    # s = 6, so N = 2^6 * 6^4 = 82,944; the candidate takes 79 nodes, and
-    # realization used to rebuild a whole period per literal, O(N^2) each
+    # s = 6, so N = 2^6 * 6^4 = 82,944, and the equation holds at period
+    # 1; realization used to rebuild a whole period per literal, O(N^2)
+    # each
     data = json.loads("\n".join(_run_child(_DLP_REALIZE, timeout=60)))
     assert data["status"] == FAILS
     w = witness_from_json(data["witness"])
     assert data["n"] == w.n == 82_944
-    assert verify_witness("x y = y x", w)
+    assert verify_witness("x^(4) = x", w)
 
 
 _DLP_REALIZE_RSS = """
 import json
 from lpregroup import decide
-eq = "x y x^l y^l <= 1"
+eq = "x^(2) y^(2) <= x y"
 for complete in (False, True):
     v = decide.decide_dlp(eq, complete, budget=None if complete else 200_000)
     text = json.dumps(v.witness.to_json())
@@ -496,9 +549,10 @@ for complete in (False, True):
 
 
 def test_capped_dlp_realizes_a_long_period_in_bounded_memory():
-    # N = 2^10 * 10^4 = 10,240,000 in capped and in complete mode: a
-    # realized function has one step per chain point, so neither the
-    # realization, the witness file nor its re-verification is O(N)
+    # N = 2^10 * 10^4 = 10,240,000 in capped and in complete mode, for an
+    # equation that holds at period 1: a realized function has one step
+    # per chain point, so neither the realization, the witness file nor
+    # its re-verification is O(N)
     *runs, rss_kb = _run_child(_DLP_REALIZE_RSS, timeout=120)
     assert len(runs) == 2
     for run in runs:
@@ -537,19 +591,25 @@ def test_capped_embedding_attempt_out_of_budget_is_unknown(monkeypatch):
 
 @pytest.mark.parametrize("status", [UNKNOWN, FAILS])
 def test_embedding_search_spends_the_decision_budget(status):
-    # 430 enumeration nodes draw 7 candidates, and each embedding search
-    # spends one node: the first 6 are refuted at their root, and the
-    # 7th finds the witness at the decision's 437th node, so one node
-    # less stops the run inside that search
+    # at period 1, 23 enumeration nodes draw one candidate, whose
+    # embedding search finds the witness at the 24th node.  A budget of
+    # 50 gives the search at period 1 a slice of 25 nodes, the one that
+    # cuts it included; at 49 its slice of 24 runs out inside that
+    # embedding search, and the search at n = 2 spends the other 25 and
+    # the node that runs the budget out
     eq = "(x^r y) = z^l"
-    budget = 437 if status == FAILS else 436
+    budget = 50 if status == FAILS else 49
     v = decide.decide_fnz(eq, 2, budget=budget)
     assert v.status == status
     assert (v.stats["failing_candidates"], v.stats["nodes"],
-            v.stats["embed_nodes"]) == (7, 430, 7)
+            v.stats["embed_nodes"]) == (1, 23 if status == FAILS else 49, 1)
+    first = v.stats["periods"][0]
+    assert (first["d"], first["nodes"], first["embed_nodes"]) == (1, 23, 1)
     if status == UNKNOWN:
-        assert v.stats["stopped_by"] == "embedding"
+        assert first["outcome"] == "embedding"
+        assert v.stats["stopped_by"] == "enumeration"
     else:
+        assert v.witness.n == 1
         assert verify_witness(eq, v.witness)
     assert_stats_contract(v, eq, budget)
 
@@ -571,7 +631,7 @@ def test_embedding_node_costs_one_pass(monkeypatch):
     v = decide.decide_fnz(eq, 2, budget=4_500)
     assert v.status == UNKNOWN
     assert v.stats["stopped_by"] == "embedding"
-    assert (v.stats["nodes"], v.stats["embed_nodes"]) == (2361, 2140)
+    assert (v.stats["nodes"], v.stats["embed_nodes"]) == (2617, 1884)
     assert calls <= 100 * v.stats["embed_nodes"]
     assert_stats_contract(v, eq, 4_500)
 

@@ -12,6 +12,8 @@ references catch that:
 - The inclusions of the paper: F_n(Z) lies in LP_n, and LP_n in LP_m
   (F_n(Z) in F_m(Z)) when n divides m.  So valid in lpn at n implies
   valid in fnz at n, and valid at m implies valid at n in either theory.
+  A witness the deciders find at period 1 for a verdict at n, read as
+  the same maps with period n, must verify at n.
 
 The inclusion F_n(Z) in LP_n is strict at n = 1 (commutativity).  At
 n = 2, 1 <= y^(-1) x^(1) | y x fails in lpn with a verified witness,
@@ -19,13 +21,14 @@ while neither the oracle nor the capped fnz decider refutes it in
 F_2(Z): an lpn decider that collapsed to fnz would not fail it.
 """
 
+import dataclasses
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings
 
-from lpregroup import decide, oracle, term
+from lpregroup import decide, fnz, lexfn, oracle, term
 from lpregroup.decide import FAILS, VALID
 
 from test_decide import equations
@@ -113,6 +116,35 @@ def test_inclusions_between_the_theories():
                                      f"fails in {t2} at {n2}")
             checked += premise == VALID and conclusion == VALID
     assert checked > 100
+
+
+def _with_period(f, n: int):
+    """The 1-periodic map f, the same map of Z or of Q x Z, stored with
+    period n."""
+    if isinstance(f, fnz.PeriodicFn):
+        return fnz.tabulated(n, map(f, range(n)))
+    return lexfn.LexFn(n, f.tilde, tuple((j, _with_period(g, n))
+                                         for j, g in f.components))
+
+
+def test_period_one_witnesses_verify_at_the_verdicts_period():
+    lifted = valid = 0
+    for case in random_cases(7, 600) + random_cases(11, 600):
+        if case.n == 1:
+            continue
+        proc = getattr(decide, "decide_" + case.theory)
+        v = proc(case.eq, case.n, budget=20_000)
+        if v.status == FAILS and v.witness.n == 1:
+            w = dataclasses.replace(v.witness, n=case.n, assignment={
+                name: _with_period(f, case.n)
+                for name, f in v.witness.assignment.items()})
+            assert decide.verify_witness(case.eq, w), case
+            lifted += 1
+        elif v.status == VALID:
+            # F_1(Z) lies in F_n(Z), and LP_1 in LP_n
+            assert proc(case.eq, 1, budget=20_000).status != FAILS, case
+            valid += 1
+    assert lifted > 500 and valid > 10
 
 
 def test_lpn_does_not_collapse_to_fnz_at_period_two():
