@@ -175,16 +175,18 @@ def _cmd_verify(args) -> int:
         eq = term.parse(args.equation)
         with open(args.witness) as fh:
             data = json.load(fh)
-        if isinstance(data, dict) and isinstance(data.get("witness"), dict):
+        if isinstance(data, dict) and "witness" in data:  # an envelope
             data = data["witness"]
+            if data is None:
+                raise ValueError(f"{args.witness} holds no witness")
         w = decide.witness_from_json(data)
-        count = len(term.conjuncts(eq))
-        if not 0 <= w.conjunct < count:
+        conjuncts = term.conjuncts(eq)
+        if not 0 <= w.conjunct < len(conjuncts):
             ok, reason = False, (f"conjunct {w.conjunct} out of range: the "
-                                 f"equation has {count} conjuncts")
+                                 f"equation has {len(conjuncts)} conjuncts")
         else:
             try:
-                ok = decide.verify_witness(eq, w)
+                ok = decide.verify_witness(conjuncts, w)
                 reason = None if ok else "some joinand is not below the point"
             except KeyError as e:
                 ok, reason = False, f"malformed witness: {e}"

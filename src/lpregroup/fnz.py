@@ -91,30 +91,52 @@ def shift_fn(n: int, c: int) -> PeriodicFn:
     return tabulated(n, range(c, n + c))
 
 
-def _period(f: PeriodicFn, g: PeriodicFn) -> int:
-    if f.n != g.n:
-        raise ValueError(f"period mismatch: {f.n} vs {g.n}")
-    return f.n
+def shared_period(a, b) -> int:
+    """The period of a and b, PeriodicFn, LexFn or WreathElement alike;
+    ValueError when they differ."""
+    if a.n != b.n:
+        raise ValueError(f"period mismatch: {a.n} != {b.n}")
+    return a.n
+
+
+def fiber_components(n: int, comps: Iterable[tuple]) -> tuple:
+    """The normal form of a finite family of fiber components, pairs
+    (index, PeriodicFn) with the indices already in their type: n must be
+    at least 1, every component must have period n and no index may
+    repeat; identity components are dropped and the rest sorted by
+    index, so equal families have equal forms."""
+    if n < 1:
+        raise ValueError(f"period must be >= 1, got {n}")
+    kept, seen = [], set()
+    for j, f in comps:
+        if f.n != n:
+            raise ValueError(f"component period {f.n} != {n}")
+        if j in seen:
+            raise ValueError(f"duplicate component at {j}")
+        seen.add(j)
+        if not f.is_identity:
+            kept.append((j, f))
+    return tuple(sorted(kept, key=itemgetter(0)))
 
 
 def compose(f: PeriodicFn, g: PeriodicFn) -> PeriodicFn:
     """f after g.  Both arguments must use the same period."""
-    n = _period(f, g)
+    n = shared_period(f, g)
     return tabulated(n, (eval(f, eval(g, r)) for r in range(n)))
 
 
 def leq(f: PeriodicFn, g: PeriodicFn) -> bool:
     """Pointwise order; by periodicity one period decides it."""
-    return all(eval(f, r) <= eval(g, r) for r in range(_period(f, g)))
+    return all(eval(f, r) <= eval(g, r) for r in range(shared_period(f, g)))
 
 
 def meet(f: PeriodicFn, g: PeriodicFn) -> PeriodicFn:
-    n = _period(f, g)
+    n = shared_period(f, g)
     return tabulated(n, (min(eval(f, r), eval(g, r)) for r in range(n)))
 
 
 def join(f: PeriodicFn, g: PeriodicFn) -> PeriodicFn:
-    n = _period(f, g)
+    n = shared_period(f, g)
     return tabulated(n, (max(eval(f, r), eval(g, r)) for r in range(n)))
 
 

@@ -134,21 +134,8 @@ class LexFn:
     components: tuple[tuple[Fraction, PeriodicFn], ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"period must be >= 1, got {self.n}")
-        comps = []
-        seen = set()
-        for j, f in self.components:
-            j = _frac(j)
-            if f.n != self.n:
-                raise ValueError(f"component period {f.n} != {self.n}")
-            if j in seen:
-                raise ValueError(f"duplicate component at {j}")
-            seen.add(j)
-            if not f.is_identity:
-                comps.append((j, f))
-        comps.sort()
-        object.__setattr__(self, "components", tuple(comps))
+        object.__setattr__(self, "components", fnz.fiber_components(
+            self.n, ((_frac(j), f) for j, f in self.components)))
 
     def component(self, j: Rational) -> PeriodicFn:
         j = _frac(j)
@@ -169,14 +156,13 @@ def eval(f: LexFn, p: tuple[Rational, int]) -> Point:
 
 def compose(f: LexFn, g: LexFn) -> LexFn:
     """f after g, fiberwise (f.comp at the moved index) after g.comp."""
-    if f.n != g.n:
-        raise ValueError(f"period mismatch: {f.n} != {g.n}")
+    n = fnz.shared_period(f, g)
     support = {j for j, _ in g.components}
     support |= {g.tilde.preimage(j) for j, _ in f.components}
     comps = tuple(
         (j, fnz.compose(f.component(g.tilde(j)), g.component(j)))
         for j in sorted(support))
-    return LexFn(f.n, f.tilde.compose(g.tilde), comps)
+    return LexFn(n, f.tilde.compose(g.tilde), comps)
 
 
 def iter_inv(f: LexFn, m: int) -> LexFn:
@@ -248,8 +234,7 @@ def _lattice_grid(f: LexFn, g: LexFn) -> list[Fraction]:
 
 
 def _pointwise_lattice(f: LexFn, g: LexFn, pick_smaller: bool) -> LexFn:
-    if f.n != g.n:
-        raise ValueError(f"period mismatch: {f.n} != {g.n}")
+    n = fnz.shared_period(f, g)
     pick = min if pick_smaller else max
     tilde = PLBijection(tuple((x, pick(f.tilde(x), g.tilde(x)))
                               for x in _lattice_grid(f, g)))
@@ -263,7 +248,7 @@ def _pointwise_lattice(f: LexFn, g: LexFn, pick_smaller: bool) -> LexFn:
             comps.append((j, f.component(j)))
         else:
             comps.append((j, g.component(j)))
-    return LexFn(f.n, tilde, tuple(comps))
+    return LexFn(n, tilde, tuple(comps))
 
 
 def meet(f: LexFn, g: LexFn) -> LexFn:

@@ -175,7 +175,7 @@ def _search(eq: Union[Equation, str], n: int, budget: int, seed: int,
             return None
         ci, p, checked = hit
         w = Witness(space, n, dict(assignment), p, ci, checked)
-        if not verify_witness(eq, w):
+        if not verify_witness(conjuncts, w):
             raise AssertionError("oracle witness failed re-verification")
         return w
 

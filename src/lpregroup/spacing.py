@@ -34,6 +34,13 @@ refutes the problem as soon as one cannot hold with every free gap in
 reduced row.  Both passes are needed, since elimination can mix away a
 raw row's contradiction.  Before the box is built, this refutes nearly
 every problem the deciders pose.
+
+A chain of at most n points needs no search.  Under unit gaps its points
+are 0, ..., size - 1 < n, so x mod n = x is injective on them and each
+counterpart, an order-preserving map with values within n - 1, is the
+steps of one periodic map.  Unit gaps are also the least gap vector, the
+one the box search would return, so they are taken with no closure and
+no box, through the same height and periodicity self-check.
 """
 
 from __future__ import annotations
@@ -224,8 +231,8 @@ def find_witness_embedding(chain: CChain,
     if cap is None:
         cap = complete_cap(chain.size, n)
     ngaps = chain.size - 1
-    if ngaps == 0:
-        return SpacingEmbedding(chain, (0,))
+    if ngaps < n and ngaps <= cap:  # the chain fits in one period
+        return _checked(chain, [1] * ngaps, fns, n, cap)
 
     # the closure refutes nearly every problem of the deciders, so it
     # runs before any row is built
@@ -236,12 +243,9 @@ def find_witness_embedding(chain: CChain,
         if closure is None:
             return None
 
-    lo = [1] * ngaps
-    hi = [cap - (ngaps - 1)] * ngaps
+    lo, hi = [1] * ngaps, [cap] * ngaps
     for a, b in chain.covers:
         hi[b - 1] = 1
-    if any(l > h for l, h in zip(lo, hi)):
-        return None
 
     # constraints: (Y, -X) with Y = P(y1) - P(y2) and X = P(x1) - P(x2),
     # demanding ceil(Y/n) <= ceil(X/n).  Each also implies the cancelled
@@ -307,8 +311,14 @@ def find_witness_embedding(chain: CChain,
             stack.append((nlo, nhi))
     else:
         return None  # every box refuted
+    return _checked(chain, lo, fns, n, cap)
+
+
+def _checked(chain, gaps, fns, n, cap) -> SpacingEmbedding:
+    """The embedding with these gaps, after checking that it keeps the
+    height cap and makes every function n-periodic."""
     positions = [0]
-    for gsize in lo:
+    for gsize in gaps:
         positions.append(positions[-1] + gsize)
     out = SpacingEmbedding(chain, tuple(positions))
     if out.height > cap:

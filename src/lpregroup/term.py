@@ -311,38 +311,28 @@ def variables_of(conjs: Iterable[IntensionalEquation]) -> list[str]:
     return sorted({name for c in conjs for w in c.joinands for name, _ in w})
 
 
-# conjunct_key tries every renaming within ties of its variable order up
-# to this many, and past it keys a conjunct by its exact joinands
+# conjunct_key tries every order of a conjunct's variables while there
+# are at most this many (6 variables), and past it keys a conjunct by its
+# exact joinands
 MAX_KEY_RENAMINGS = 720
 
 
 def conjunct_key(eq: IntensionalEquation) -> tuple:
     """A key that two conjuncts share exactly when one is the other with
     its variables renamed (bijectively), except that a conjunct whose
-    variables tie in more than MAX_KEY_RENAMINGS ways is keyed by its own
-    joinands, which only an equal conjunct shares.
+    variables have more than MAX_KEY_RENAMINGS orders (7 or more
+    variables) is keyed by its own joinands, which only an equal conjunct
+    shares: it can miss a renaming, never merge two conjuncts.
 
-    Variables are ordered by the sorted exponents they occur with, which
-    no renaming changes; every order within ties renames them to 0..k-1,
-    and the key is the least sorted tuple of renamed joinands."""
-    exps: dict[str, list[int]] = {}
-    for w in eq.joinands:
-        for name, m in w:
-            exps.setdefault(name, []).append(m)
-    sig = {name: tuple(sorted(ms)) for name, ms in exps.items()}
-    ties = [list(g) for _, g in itertools.groupby(
-        sorted(sig, key=sig.__getitem__), key=sig.__getitem__)]
-    if math.prod(math.factorial(len(g)) for g in ties) > MAX_KEY_RENAMINGS:
+    Every order of the variables renames them onto 0..k-1, and the key
+    is the least sorted tuple of renamed joinands."""
+    names = variables_of([eq])
+    if math.factorial(len(names)) > MAX_KEY_RENAMINGS:
         return eq.joinands  # string names: never equal to a renamed key
-
-    def renamed(order) -> tuple:
-        rename = {name: i for i, name in enumerate(order)}
-        return tuple(sorted(tuple((rename[name], m) for name, m in w)
-                            for w in eq.joinands))
-
-    return min(renamed(itertools.chain.from_iterable(perms))
-               for perms in itertools.product(
-                   *map(itertools.permutations, ties)))
+    index = {name: i for i, name in enumerate(names)}
+    words = [[(index[name], m) for name, m in w] for w in eq.joinands]
+    return min(tuple(sorted(tuple((to[i], m) for i, m in w) for w in words))
+               for to in itertools.permutations(range(len(names))))
 
 
 def reduce_exponents(eq: IntensionalEquation, n: int) -> IntensionalEquation:

@@ -25,6 +25,12 @@ from .fnz import PeriodicFn
 from .lexfn import LexFn, PLBijection
 
 
+def _index(j) -> int:
+    if int(j) != j:
+        raise ValueError(f"component index {j} is not an integer")
+    return int(j)
+
+
 @dataclass(frozen=True)
 class WreathElement:
     n: int
@@ -32,20 +38,8 @@ class WreathElement:
     comps: tuple[tuple[int, PeriodicFn], ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"period must be >= 1, got {self.n}")
-        seen = set()
-        kept = []
-        for j, f in self.comps:
-            if f.n != self.n:
-                raise ValueError(f"component period {f.n} != {self.n}")
-            if j in seen:
-                raise ValueError(f"duplicate component at {j}")
-            seen.add(j)
-            if not f.is_identity:
-                kept.append((int(j), f))
-        kept.sort()
-        object.__setattr__(self, "comps", tuple(kept))
+        object.__setattr__(self, "comps", fnz.fiber_components(
+            self.n, ((_index(j), f) for j, f in self.comps)))
 
     def comp(self, j: int) -> PeriodicFn:
         for jj, f in self.comps:
@@ -63,17 +57,12 @@ class WreathElement:
         return (self.h + j, fnz.eval(self.comp(j), m))
 
 
-def _check(a: WreathElement, b: WreathElement):
-    if a.n != b.n:
-        raise ValueError(f"period mismatch: {a.n} != {b.n}")
-
-
 def multiply(a: WreathElement, b: WreathElement) -> WreathElement:
-    _check(a, b)
+    n = fnz.shared_period(a, b)
     support = set(b.support) | {j - b.h for j in a.support}
     comps = tuple((j, fnz.compose(a.comp(b.h + j), b.comp(j)))
                   for j in sorted(support))
-    return WreathElement(a.n, a.h + b.h, comps)
+    return WreathElement(n, a.h + b.h, comps)
 
 
 def leq(a: WreathElement, b: WreathElement) -> bool:
@@ -83,7 +72,7 @@ def leq(a: WreathElement, b: WreathElement) -> bool:
 
 def _lattice(a: WreathElement, b: WreathElement,
              pick_smaller: bool) -> WreathElement:
-    _check(a, b)
+    n = fnz.shared_period(a, b)
     comps = []
     for j in sorted(set(a.support) | set(b.support)):
         if a.h == b.h:
@@ -94,7 +83,7 @@ def _lattice(a: WreathElement, b: WreathElement,
         else:
             comps.append((j, b.comp(j)))
     h = min(a.h, b.h) if pick_smaller else max(a.h, b.h)
-    return WreathElement(a.n, h, tuple(comps))
+    return WreathElement(n, h, tuple(comps))
 
 
 def join(a: WreathElement, b: WreathElement) -> WreathElement:
@@ -143,9 +132,4 @@ def iso_from_lexfn(f: LexFn) -> WreathElement:
         raise ValueError("global part is not a translation")
     if h.denominator != 1:
         raise ValueError(f"translation {h} is not an integer")
-    comps = []
-    for j, c in f.components:
-        if j.denominator != 1:
-            raise ValueError(f"component index {j} is not an integer")
-        comps.append((int(j), c))
-    return WreathElement(f.n, int(h), tuple(comps))
+    return WreathElement(f.n, int(h), f.components)

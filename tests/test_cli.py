@@ -60,6 +60,21 @@ def test_verify_accepts_bare_witness_json(capsys, tmp_path):
     assert code == 0 and json.loads(out)["verified"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ("decide", "--theory", "fnz", "--n", "1", "--complete", "1 <= x^(-1) x"),
+    ("oracle", "--theory", "lex", "--n", "1", "--budget", "50",
+     "1 <= x^(-1) x"),
+], ids=["valid-verdict", "oracle-miss"])
+def test_verify_says_the_file_holds_no_witness(capsys, tmp_path, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["witness"] is None
+    path = tmp_path / "none.json"
+    path.write_text(out)
+    code, out, err = run(capsys, "verify", str(path), "1 <= x^(-1) x")
+    assert code == 3 and out == ""
+    assert f"{path} holds no witness" in err, err
+
+
 @pytest.mark.parametrize("index", [7, -1])
 def test_verify_names_an_out_of_range_conjunct(capsys, tmp_path, index):
     code, out, _ = run(capsys, "decide", "--theory", "lpn", "--n", "1",

@@ -314,6 +314,29 @@ def test_witness_matches_bruteforce(instance):
         assert gaps == expect
 
 
+@settings(max_examples=150, deadline=None)
+@given(witness_instances(max_size=6, max_n=6).filter(
+    lambda instance: instance[0].size <= instance[2]))
+@example((CChain(1), [PartialFn(((0, 0),))], 1))
+def test_chain_within_one_period_takes_unit_gaps_without_a_node(instance):
+    # positions 0..size-1 < n are their own residues, so no search runs
+    chain, fns, n = instance
+    nb = NodeBudget(0)
+    e = find_witness_embedding(chain, fns, n, node_budget=nb)
+    assert e.positions == tuple(range(chain.size)) and nb.used == 0
+    gaps = oracle_witness_gaps(chain, fns, n, chain.size)
+    assert gaps == (1,) * (chain.size - 1)
+
+
+def test_cap_below_the_gap_count_is_refuted_in_one_node():
+    # the height cap is a row of the box search, not a pre-check
+    nb = NodeBudget()
+    chain = CChain(4)
+    assert find_witness_embedding(chain, [PartialFn(((0, 1),))], 3,
+                                  cap=2, node_budget=nb) is None
+    assert nb.used == 1
+
+
 # ---------------------------------------------------- translation closure
 
 def closure_refutes(chain, fns, cap):

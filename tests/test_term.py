@@ -614,9 +614,9 @@ _NAMES = ("x", "y", "z")
 
 
 @st.composite
-def conjuncts_xyz(draw, max_m=2, max_joinands=3, max_len=3):
-    """A conjunct over x, y and z with short words."""
-    literal = st.tuples(st.sampled_from(_NAMES), st.integers(-max_m, max_m))
+def conjuncts_xyz(draw, max_m=2, max_joinands=3, max_len=3, names=_NAMES):
+    """A conjunct over x, y and z (or the given names) with short words."""
+    literal = st.tuples(st.sampled_from(names), st.integers(-max_m, max_m))
     ws = draw(st.lists(st.lists(literal, min_size=1, max_size=max_len)
                        .map(tuple), min_size=1, max_size=max_joinands))
     return IntensionalEquation(tuple(sorted(set(ws))))
@@ -655,6 +655,35 @@ def test_equal_conjunct_keys_are_renamings(a, b):
     assert same == (renaming(a, b) is not None)
 
 
+_SIX = ("a", "b", "c", "d", "e", "f")
+four_to_six = conjuncts_xyz(max_m=1, max_joinands=4, max_len=3,
+                            names=_SIX).filter(
+    lambda c: len(term.variables_of([c])) >= 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(four_to_six, st.permutations(_SIX))
+def test_conjunct_key_ignores_renaming_of_up_to_six_variables(c, perm):
+    image = rename(c, dict(zip(_SIX, perm)))
+    assert term.conjunct_key(image) == term.conjunct_key(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(four_to_six, st.permutations(_SIX), st.data())
+def test_equal_keys_of_up_to_six_variables_are_renamings(a, perm, data):
+    # b renames a, and then maybe one literal changes, so both answers
+    # come up
+    words = [list(w) for w in rename(a, dict(zip(_SIX, perm))).joinands]
+    if data.draw(st.booleans()):
+        w = data.draw(st.sampled_from(words))
+        i = data.draw(st.integers(0, len(w) - 1))
+        w[i] = (data.draw(st.sampled_from(_SIX)),
+                data.draw(st.integers(-1, 1)))
+    b = IntensionalEquation(tuple(sorted(set(map(tuple, words)))))
+    same = term.conjunct_key(a) == term.conjunct_key(b)
+    assert same == (renaming(a, b) is not None)
+
+
 def test_conjunct_key_pairs_the_mirror_conjuncts():
     c1, c2 = to_intensional(parse("x y = y x"))
     assert c1 != c2 and term.conjunct_key(c1) == term.conjunct_key(c2)
@@ -668,8 +697,17 @@ def test_conjunct_key_pairs_the_mirror_conjuncts():
     assert term.conjunct_key(a) != term.conjunct_key(b)
 
 
+def test_conjunct_key_of_seven_variables_is_its_own_joinands():
+    # distinct exponent signatures, but 7! orders exceed the bound
+    [c] = to_intensional(parse(
+        "1 <= a b^l c^(2) d^(-1) e^(3) f^(-2) g^(4) | a^l b c d e f g"))
+    assert len(term.variables_of([c])) == 7
+    assert math.factorial(6) <= term.MAX_KEY_RENAMINGS < math.factorial(7)
+    assert term.conjunct_key(c) == c.joinands
+
+
 def test_conjunct_key_falls_back_past_the_renaming_bound():
-    # nine variables, each twice with exponent 0: they tie in 9! orders
+    # nine variables in a ring of joinands: 9! orders, none of them tried
     names = [f"x{i}" for i in range(9)]
     text = "1 <= " + " | ".join(f"{a} {b}" for a, b in
                                 zip(names, names[1:] + names[:1]))

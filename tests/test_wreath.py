@@ -172,6 +172,54 @@ def test_periodicity_needs_matching_components():
     assert iter_inv(a, 4) == a
 
 
+# ------------------------------------------------ one component normal form
+
+_F2 = tabulated(2, (1, 2))
+
+
+@pytest.mark.parametrize("n, comps, message", [
+    (0, (), "period must be >= 1, got 0"),
+    (1, ((0, _F2),), "component period 2 != 1"),
+    (2, ((3, _F2), (3, fnz.id_fn(2))), "duplicate component at 3"),
+], ids=["period", "component-period", "repeated-index"])
+def test_both_constructors_refuse_alike(n, comps, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        WreathElement(n, 0, comps)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lexfn.LexFn(n, lexfn.PLBijection(), comps)
+
+
+def test_both_constructors_keep_one_normal_form():
+    comps = ((4, _F2), (-1, fnz.id_fn(2)), (1, _F2))
+    assert WreathElement(2, 0, comps).comps == ((1, _F2), (4, _F2))
+    assert WreathElement(2, 0, ((Fraction(3), _F2),)).comps == ((3, _F2),)
+    assert lexfn.LexFn(2, lexfn.PLBijection(), comps).components == (
+        (Fraction(1), _F2), (Fraction(4), _F2))
+
+
+@pytest.mark.parametrize("comps", [
+    ((Fraction(3, 2), _F2),),
+    ((0.5, _F2),),
+    ((Fraction(3, 2), _F2), (Fraction(5, 3), _F2)),  # both truncate to 1
+], ids=["fraction", "float", "same-truncation"])
+def test_wreath_refuses_a_non_integer_index(comps):
+    # truncating it would move the component to another fiber
+    with pytest.raises(ValueError, match="is not an integer"):
+        WreathElement(2, 0, comps)
+
+
+@pytest.mark.parametrize("op", [lexfn.compose, lexfn.meet, lexfn.join])
+def test_lexfn_operations_refuse_mismatched_periods(op):
+    with pytest.raises(ValueError, match="^period mismatch: 1 != 2$"):
+        op(lexfn.LexFn(1), lexfn.LexFn(2))
+
+
+@pytest.mark.parametrize("op", [multiply, meet, join])
+def test_wreath_operations_refuse_mismatched_periods(op):
+    with pytest.raises(ValueError, match="^period mismatch: 1 != 2$"):
+        op(WreathElement(1), WreathElement(2))
+
+
 # -------------------------------------------------------------- transport
 
 def test_iso_identity():
