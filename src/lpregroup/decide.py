@@ -89,10 +89,12 @@ nothing, and the second deletes only pairs x^(m-1) x^(m), which are
 from __future__ import annotations
 
 import dataclasses
+import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from types import ModuleType
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import fnz, lexfn, spacing, term
 from .diagram import BudgetExceeded, NodeBudget, PartialFn, SpacingEmbedding
@@ -123,7 +125,7 @@ class Witness:
     """A failing instantiation: a function per variable and a point where
     every joinand of one conjunct lands strictly below it."""
 
-    space: str  # "FnZ" or "FnQxZ"
+    space: str  # a key of SPACES
     n: int
     assignment: dict[str, Union[PeriodicFn, LexFn]]
     point: FnPoint
@@ -131,55 +133,123 @@ class Witness:
     checked: tuple[tuple[str, FnPoint], ...] = ()
 
     def to_json(self) -> dict:
-        if self.space == "FnZ":
-            fn_json = fnz.fn_to_json
-        else:
-            fn_json = lexfn.to_json
+        sp = SPACES[self.space]
         return {
             "space": self.space,
             "n": self.n,
-            "assignment": {name: fn_json(f)
+            "assignment": {name: sp.write_fn(f)
                            for name, f in sorted(self.assignment.items())},
-            "point": _point_to_json(self.space, self.point),
+            "point": sp.write_point(self.point),
             "conjunct": self.conjunct,
-            "checked": [{"word": w, "value": _point_to_json(self.space, v)}
+            "checked": [{"word": w, "value": sp.write_point(v)}
                         for w, v in self.checked],
         }
 
 
-def _point_to_json(space: str, p: FnPoint):
-    if space == "FnZ":
-        return p
-    return {"q": str(p[0]), "z": p[1]}
+# ------------------------------------------------------------ witness files
+#
+# Every value is read only in the form the writer gives it: an integer is
+# a JSON integer, an array a JSON array, and a rational a JSON integer or
+# the string str() gives a Fraction.  Fraction itself would also take
+# "1e3", "1.5" or " 1", and "1e999999999" would build a billion-digit
+# number, so a rational string must match _RATIONAL first.
+
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")  # not \d: "١" is a digit
 
 
-def _point_from_json(space: str, data) -> FnPoint:
-    if space == "FnZ":
-        return fnz.int_from_json(data)
-    return (lexfn.rational_from_json(data["q"]),
-            fnz.int_from_json(data["z"]))
+def _int(v) -> int:
+    if type(v) is not int:  # a float or a boolean is refused, not cast
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _array(v) -> list:
+    if type(v) is not list:  # a string or an object would iterate
+        raise ValueError(f"expected an array, got {v!r}")
+    return v
+
+
+def _rational(v) -> Fraction:
+    if type(v) is int or (type(v) is str and _RATIONAL.fullmatch(v)):
+        return Fraction(v)
+    raise ValueError(f"expected a rational string or integer, got {v!r}")
+
+
+def _pairs(v, read, what: str) -> tuple:
+    """An array of two-element arrays, both elements read by read; what
+    names the pair in the message for one of another length."""
+    out = []
+    for a in _array(v):
+        if len(_array(a)) != 2:
+            raise ValueError(f"{what}, got {a!r}")
+        out.append((read(a[0]), read(a[1])))
+    return tuple(out)
+
+
+def _write_fnz(f: PeriodicFn) -> dict:
+    return {"n": f.n, "steps": [[r, v] for r, v in f.steps]}
+
+
+def _read_fnz(data) -> PeriodicFn:
+    steps = _pairs(data["steps"], _int, "a step is [residue, value]")
+    return PeriodicFn(_int(data["n"]), steps)
+
+
+def _write_lex(f: LexFn) -> dict:
+    return {"n": f.n,
+            "tilde": [[str(x), str(y)] for x, y in f.tilde.anchors],
+            "components": [{"j": str(j), "fn": _write_fnz(c)}
+                           for j, c in f.components]}
+
+
+def _read_lex(data) -> LexFn:
+    return LexFn(_int(data["n"]),
+                 PLBijection(_pairs(data["tilde"], _rational,
+                                    "an anchor is [x, y]")),
+                 tuple((_rational(c["j"]), _read_fnz(c["fn"]))
+                       for c in _array(data["components"])))
+
+
+class WitnessSpace(NamedTuple):
+    """One function algebra a witness lives in, and its file form.  The
+    algebra is its module, so eval_word is looked up where it is called."""
+
+    algebra: ModuleType
+    write_fn: Callable
+    read_fn: Callable
+    write_point: Callable
+    read_point: Callable
+
+
+# by the tag a witness names its space with
+SPACES = {
+    "FnZ": WitnessSpace(fnz, _write_fnz, _read_fnz, lambda p: p, _int),
+    "FnQxZ": WitnessSpace(
+        lexfn, _write_lex, _read_lex,
+        lambda p: {"q": str(p[0]), "z": p[1]},
+        lambda d: (_rational(d["q"]), _int(d["z"]))),
+}
 
 
 def witness_from_json(data: dict) -> Witness:
     """Load a witness from its JSON form.  Raises ValueError when data is
     not shaped like a witness (a missing field, an unknown space, a value
-    of the wrong type, a number that is not an integer where one belongs,
-    a zero denominator)."""
+    of the wrong type or spelling, a number that is not an integer where
+    one belongs, a zero denominator)."""
     try:
         space = data["space"]
-        if space not in ("FnZ", "FnQxZ"):
+        if space not in SPACES:
             raise ValueError(f"malformed witness: unknown space {space!r}")
-        fn_load = fnz.fn_from_json if space == "FnZ" else lexfn.from_json
+        sp = SPACES[space]
         return Witness(
             space=space,
-            n=fnz.int_from_json(data["n"]),
-            assignment={name: fn_load(f)
+            n=_int(data["n"]),
+            assignment={name: sp.read_fn(f)
                         for name, f in data["assignment"].items()},
-            point=_point_from_json(space, data["point"]),
-            conjunct=fnz.int_from_json(data.get("conjunct", 0)),
-            checked=tuple((c["word"], _point_from_json(space, c["value"]))
-                          for c in fnz.list_from_json(
-                              data.get("checked", []))),
+            point=sp.read_point(data["point"]),
+            conjunct=_int(data.get("conjunct", 0)),
+            checked=tuple((c["word"], sp.read_point(c["value"]))
+                          for c in _array(data.get("checked", []))),
         )
     except (KeyError, TypeError, AttributeError, ZeroDivisionError) as e:
         raise ValueError(f"malformed witness: {e!r}") from e
@@ -209,12 +279,13 @@ class Verdict:
 
 # ------------------------------------------------------------- realization
 
-def _check_realized(eq: IntensionalEquation, fns, p, ev, want_at
-                    ) -> tuple[tuple[str, FnPoint], ...]:
-    """Evaluate every final subword of every joinand at p under the
-    realized functions and compare with the diagram's value want_at(point);
-    each joinand must land strictly below p.  A mismatch is an internal
-    error, not an input condition.  Returns the joinand evaluations."""
+def _check_realized(space: str, eq: IntensionalEquation, n: int, fns, p,
+                    want_at) -> Witness:
+    """The witness of fns at p in space, after evaluating every final
+    subword of every joinand at p and comparing with the diagram's value
+    want_at(point); each joinand must land strictly below p.  A mismatch
+    is an internal error, not an input condition."""
+    ev = SPACES[space].algebra.eval_word
     checked = []
     for w in eq.joinands:
         # innermost literal first; the empty subword is p by construction
@@ -229,7 +300,7 @@ def _check_realized(eq: IntensionalEquation, fns, p, ev, want_at
         if not got < p:
             raise AssertionError(f"joinand {word_str(w)} not below the point")
         checked.append((word_str(w), got))
-    return tuple(checked)
+    return Witness(space, n, fns, p, 0, tuple(checked))
 
 
 def realize_fnz_witness(pd: PartitionDiagram, e: SpacingEmbedding,
@@ -246,10 +317,8 @@ def realize_fnz_witness(pd: PartitionDiagram, e: SpacingEmbedding,
     for name in names:
         _, g = pd.blocks.get(name, {}).get(0, (0, PartialFn(())))
         fns[name] = fnz.extend_partial({e(x): e(y) for x, y in g.pairs}, n)
-    p = e(pd.phi[()][1])
-    checked = _check_realized(eq, fns, p, fnz.eval_word,
-                              lambda pt: e(pd.phi[pt][1]))
-    return Witness("FnZ", n, fns, p, 0, checked)
+    return _check_realized("FnZ", eq, n, fns, e(pd.phi[()][1]),
+                           lambda pt: e(pd.phi[pt][1]))
 
 
 def realize_lex_witness(pd: PartitionDiagram, e: SpacingEmbedding,
@@ -279,10 +348,8 @@ def realize_lex_witness(pd: PartitionDiagram, e: SpacingEmbedding,
              fnz.extend_partial({e(s): e(t) for s, t in g.pairs}, n))
             for j, (_, g) in per)
         fns[name] = LexFn(n, tilde, comps)
-    p = at(pd.phi[()])
-    checked = _check_realized(eq, fns, p, lexfn.eval_word,
-                              lambda pt: at(pd.phi[pt]))
-    return Witness("FnQxZ", n, fns, p, 0, checked)
+    return _check_realized("FnQxZ", eq, n, fns, at(pd.phi[()]),
+                           lambda pt: at(pd.phi[pt]))
 
 
 def verify_witness(eq: Union[Equation, str, list[IntensionalEquation]],
@@ -305,7 +372,7 @@ def verify_witness(eq: Union[Equation, str, list[IntensionalEquation]],
     missing = set(term.variables_of([conj])) - set(w.assignment)
     if missing:
         raise KeyError(f"assignment missing variables: {sorted(missing)}")
-    ev = fnz.eval_word if w.space == "FnZ" else lexfn.eval_word
+    ev = SPACES[w.space].algebra.eval_word
     return all(ev(jw, w.assignment, w.point) < w.point
                for jw in conj.joinands)
 

@@ -232,34 +232,3 @@ def extend_partial(h: Mapping[int, int] | Iterable[tuple[int, int]],
         raise AssertionError(f"extension {f} does not agree with {pairs}")
     return f
 
-
-# ----------------------------------------------------------- serialization
-
-def fn_to_json(f: PeriodicFn) -> dict:
-    return {"n": f.n, "steps": [[r, v] for r, v in f.steps]}
-
-
-def int_from_json(v) -> int:
-    """A JSON integer as it stands: a float or a boolean is refused with
-    ValueError rather than truncated."""
-    if type(v) is not int:
-        raise ValueError(f"expected an integer, got {v!r}")
-    return v
-
-
-def list_from_json(v) -> list:
-    """A JSON array as it stands: a string or an object, which would
-    iterate as characters or keys, is refused with ValueError."""
-    if type(v) is not list:
-        raise ValueError(f"expected an array, got {v!r}")
-    return v
-
-
-def fn_from_json(data: dict) -> PeriodicFn:
-    """Load fn_to_json's form; the constructor checks the steps."""
-    steps = []
-    for step in list_from_json(data["steps"]):
-        if len(list_from_json(step)) != 2:
-            raise ValueError(f"a step is [residue, value], got {step!r}")
-        steps.append((int_from_json(step[0]), int_from_json(step[1])))
-    return PeriodicFn(int_from_json(data["n"]), tuple(steps))

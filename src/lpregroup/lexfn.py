@@ -11,10 +11,9 @@ inversion, and all but finitely many local components are the identity.
 That is enough to state, evaluate, and verify counterexamples; it is not an
 attempt to represent arbitrary order-bijections of Q.
 
-A global part is its normalized corner points, its anchors, in memory and
-on disk (``"tilde": [["x", "y"], ...]`` as rational strings), and one
-bisection over them evaluates it in either direction.  The order is
-``leq(f, g)``, decided exactly as ``meet(f, g) == f``.
+A global part is its normalized corner points, its anchors, in memory,
+and one bisection over them evaluates it in either direction.  The order
+is ``leq(f, g)``, decided exactly as ``meet(f, g) == f``.
 """
 
 from __future__ import annotations
@@ -78,21 +77,6 @@ class PLBijection:
     @classmethod
     def translation(cls, c: Rational) -> "PLBijection":
         return cls(((Fraction(0), _frac(c)),))
-
-    def to_json(self) -> list:
-        return [[str(x), str(y)] for x, y in self.anchors]
-
-    @classmethod
-    def from_json(cls, data: list) -> "PLBijection":
-        """Load to_json's anchors; the constructor checks that they
-        increase in both coordinates."""
-        anchors = []
-        for a in fnz.list_from_json(data):
-            if len(fnz.list_from_json(a)) != 2:
-                raise ValueError(f"an anchor is [x, y], got {a!r}")
-            anchors.append((rational_from_json(a[0]),
-                            rational_from_json(a[1])))
-        return cls(tuple(anchors))
 
 
 def _through(pts, x: Fraction, i: int) -> Fraction:
@@ -260,30 +244,3 @@ def join(f: LexFn, g: LexFn) -> LexFn:
     """Pointwise lexicographic maximum."""
     return _pointwise_lattice(f, g, pick_smaller=False)
 
-
-# ----------------------------------------------------------- serialization
-
-def rational_from_json(v) -> Fraction:
-    """A rational as to_json writes it, a string such as "-3/2", or a
-    JSON integer; a float or a boolean is refused with ValueError."""
-    if type(v) is not str and type(v) is not int:
-        raise ValueError(f"expected a rational string or integer, got {v!r}")
-    return Fraction(v)
-
-
-def to_json(f: LexFn) -> dict:
-    return {
-        "n": f.n,
-        "tilde": f.tilde.to_json(),
-        "components": [{"j": str(j), "fn": fnz.fn_to_json(c)}
-                       for j, c in f.components],
-    }
-
-
-def from_json(data: dict) -> LexFn:
-    return LexFn(
-        fnz.int_from_json(data["n"]),
-        PLBijection.from_json(data["tilde"]),
-        tuple((rational_from_json(c["j"]), fnz.fn_from_json(c["fn"]))
-              for c in fnz.list_from_json(data["components"])),
-    )

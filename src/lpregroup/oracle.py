@@ -20,8 +20,8 @@ import random
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
-from . import fnz, lexfn, term
-from .decide import Witness, verify_witness
+from . import fnz, term
+from .decide import SPACES, Witness, verify_witness
 from .fnz import PeriodicFn
 from .lexfn import LexFn, PLBijection
 from .term import Equation, word_str
@@ -153,7 +153,7 @@ def _candidate_blocks(assignment) -> list[Fraction]:
 
 
 def _search(eq: Union[Equation, str], n: int, budget: int, seed: int,
-            space: str, ev, points, pool, pool_size: int, cap: int,
+            space: str, points, pool, pool_size: int, cap: int,
             draw) -> Optional[Witness]:
     """The scan both searches share.  When pool_size ** (variable count)
     fits in min(budget, cap), every assignment from the pool is tried
@@ -165,6 +165,7 @@ def _search(eq: Union[Equation, str], n: int, budget: int, seed: int,
     names = term.variables_of(conjuncts)
     if not conjuncts or not names:
         return None
+    ev = SPACES[space].algebra.eval_word
     rng = random.Random(seed)
     spent = 0
 
@@ -209,9 +210,9 @@ def search_counterexample_fnz(eq: Union[Equation, str], n: int,
     of points, which is exact because failing points recur n-periodically.
     """
     _check_args(n, budget)
-    return _search(eq, n, budget, seed, "FnZ", fnz.eval_word,
-                   lambda asg: range(n), all_periodic_fns(n, n),
-                   count_periodic_fns(n, n), 30_000, random_periodic_fn)
+    return _search(eq, n, budget, seed, "FnZ", lambda asg: range(n),
+                   all_periodic_fns(n, n), count_periodic_fns(n, n), 30_000,
+                   random_periodic_fn)
 
 
 def search_counterexample_lex(eq: Union[Equation, str], n: int,
@@ -224,7 +225,7 @@ def search_counterexample_lex(eq: Union[Equation, str], n: int,
     with one period's worth of integer slots.
     """
     _check_args(n, budget)
-    return _search(eq, n, budget, seed, "FnQxZ", lexfn.eval_word,
+    return _search(eq, n, budget, seed, "FnQxZ",
                    lambda asg: [(j, z) for j in _candidate_blocks(asg)
                                 for z in range(n)],
                    _small_lexfns(n), 3 * count_periodic_fns(n, n), 10_000,

@@ -119,8 +119,12 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if kind == "op":
             kind = val
         elif kind == "inv":
-            val = int(t["minus"] + t["m"]) if t["m"] else (
-                1 if t["lr"] == "l" else -1)
+            try:
+                val = int(t["minus"] + t["m"]) if t["m"] else (
+                    1 if t["lr"] == "l" else -1)
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise ParseError(f"exponent of {len(t['m'])} digits at "
+                                 f"{pos}") from None
         tokens.append((kind, val, pos))
     tokens.append(("end", "", len(text)))
     return tokens

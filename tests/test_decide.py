@@ -6,6 +6,7 @@ acceptance suite; here we stick to equations that decide in well under a
 second so the whole file stays quick.
 """
 
+import collections
 import dataclasses
 import json
 import os
@@ -14,6 +15,8 @@ import sys
 import time
 import tracemalloc
 import types
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +26,11 @@ from lpregroup.decide import (FAILS, UNKNOWN, VALID, Verdict, Witness,
                               verify_witness, witness_from_json)
 from lpregroup.diagram import BudgetExceeded
 
+from test_lexfn import lex_fns, lex_points, periodic_fns_at
 from test_term import conjuncts_xyz, equations, renaming, terms
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import random_cases  # noqa: E402
 
 
 def assert_stats_contract(v: Verdict, eq: str, budget=None):
@@ -787,6 +794,129 @@ def test_witness_from_json_refuses_non_array_lists(space, path, bad):
     node[path[-1]] = bad
     with pytest.raises(ValueError):
         witness_from_json(data)
+
+
+# per space: a strategy for the functions of a period, and one for points
+_SPACE_DRAWS = {"FnZ": (periodic_fns_at, st.integers(-8, 8)),
+                "FnQxZ": (lex_fns, lex_points())}
+
+
+@st.composite
+def witnesses(draw, space):
+    fns, points = _SPACE_DRAWS[space]
+    n = draw(st.integers(1, 3))
+    return Witness(
+        space, n,
+        draw(st.dictionaries(st.sampled_from("xyz"), fns(n), max_size=3)),
+        draw(points), draw(st.integers(0, 3)),
+        tuple(draw(st.lists(st.tuples(st.sampled_from(("x", "x y^l")),
+                                      points), max_size=2))))
+
+
+@pytest.mark.parametrize("space", sorted(decide.SPACES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_witness_file_roundtrip(space, data):
+    # lex functions carry drawn global parts, so this also round-trips
+    # the anchors and the component indices as rationals
+    w = data.draw(witnesses(space))
+    assert witness_from_json(json.loads(json.dumps(w.to_json()))) == w
+
+
+def test_every_written_witness_reads_back_as_written():
+    written = []
+    for c in random_cases(7, 600):
+        proc = decide.decide_fnz if c.theory == "fnz" else decide.decide_lpn
+        v = proc(c.eq, c.n, budget=20_000)
+        written += [v.witness] if v.witness else []
+    from_decide = len(written)
+    for c in random_cases(7, 300):
+        search = (oracle.search_counterexample_fnz if c.theory == "fnz"
+                  else oracle.search_counterexample_lex)
+        w = search(c.eq, c.n, budget=30, seed=c.seed)
+        written += [w] if w else []
+    assert from_decide > 500 and len(written) - from_decide > 200
+    for w in written:
+        data = w.to_json()
+        assert witness_from_json(json.loads(json.dumps(data))).to_json() \
+            == data
+
+
+# the rational positions of the FnQxZ witness of lpn n=1 `x y = y x`,
+# as key paths: y's one tilde anchor, x's one component, the point
+_RATIONAL_FIELDS = [
+    ("assignment", "y", "tilde", 0, 0),
+    ("assignment", "y", "tilde", 0, 1),
+    ("assignment", "x", "components", 0, "j"),
+    ("point", "q"),
+]
+
+
+def _lex_witness_with(path, value) -> dict:
+    v = decide.decide_lpn("x y = y x", 1)
+    data = json.loads(json.dumps(v.to_json()))["witness"]
+    assert len(data["assignment"]["y"]["tilde"]) == 1
+    assert len(data["assignment"]["x"]["components"]) == 1
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("path", _RATIONAL_FIELDS,
+                         ids=[str(p[-3:]) for p in _RATIONAL_FIELDS])
+@pytest.mark.parametrize("bad", ["1e3", "1.5", " 1", "+1", "1_0", "\u0661",
+                                 "1/2 ", "1e20000000"])
+def test_witness_from_json_reads_rationals_only_as_written(path, bad):
+    # Fraction takes all of these; the writer never writes them, and
+    # "1e20000000" would take seconds to build
+    with pytest.raises(ValueError, match="expected a rational"):
+        witness_from_json(_lex_witness_with(path, bad))
+
+
+@pytest.mark.parametrize("path", _RATIONAL_FIELDS,
+                         ids=[str(p[-3:]) for p in _RATIONAL_FIELDS])
+def test_witness_from_json_reads_the_written_rationals(path):
+    loaded = {v: witness_from_json(_lex_witness_with(path, v))
+              for v in ("-3/2", "4", 4)}
+    assert loaded["4"] == loaded[4]
+    if path[0] == "point":
+        assert loaded["-3/2"].point[0] == Fraction(-3, 2)
+
+
+def test_evaluation_goes_through_the_algebra_modules(monkeypatch):
+    # the benchmark times evaluation by swapping eval_word on fnz and
+    # lexfn, so every evaluator must look it up there when it runs
+    stage, calls = [None], collections.Counter()
+    for mod in (fnz, lexfn):
+        def counted(*args, _real=mod.eval_word, _mod=mod):
+            calls[stage[0], _mod] += 1
+            return _real(*args)
+        monkeypatch.setattr(mod, "eval_word", counted)
+
+    def labelled(label, f):
+        def run(*args, **kwargs):
+            outer, stage[0] = stage[0], label
+            try:
+                return f(*args, **kwargs)
+            finally:
+                stage[0] = outer
+        return run
+
+    for name in ("realize_fnz_witness", "realize_lex_witness",
+                 "verify_witness"):
+        monkeypatch.setattr(decide, name,
+                            labelled(name, getattr(decide, name)))
+    assert decide.decide_fnz("1 <= x", 2).status == FAILS
+    assert decide.decide_lpn("x y = y x", 1).status == FAILS
+    stage[0] = "oracle"
+    assert oracle.search_counterexample_fnz("1 <= x", 2, budget=50)
+    assert oracle.search_counterexample_lex("x y = y x", 1, budget=500)
+    assert set(calls) == {("realize_fnz_witness", fnz),
+                          ("realize_lex_witness", lexfn),
+                          ("verify_witness", fnz), ("verify_witness", lexfn),
+                          ("oracle", fnz), ("oracle", lexfn)}
 
 
 def test_verdict_json_shape():

@@ -1,12 +1,14 @@
 """Tests for the lexicographic-product function algebra, validated by
 pointwise evaluation oracles."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpregroup import fnz, lexfn
+from lpregroup.decide import Witness, witness_from_json
 from lpregroup.fnz import tabulated
 from lpregroup.lexfn import LexFn, PLBijection
 
@@ -96,10 +98,18 @@ def test_pl_preimage_is_the_inverse_at_a_point(f, y):
     assert f.preimage(y) == f.inverse()(y)
 
 
+def _file_roundtrip(f: LexFn) -> LexFn:
+    # the function's file form lives in the witness file, so read it back
+    # as the one assignment of a witness
+    w = Witness("FnQxZ", f.n, {"x": f}, (Fraction(0), 0))
+    return witness_from_json(json.loads(json.dumps(w.to_json()))) \
+        .assignment["x"]
+
+
 @settings(max_examples=100, deadline=None)
 @given(pl_bijections())
 def test_pl_json_roundtrip(f):
-    assert PLBijection.from_json(f.to_json()) == f
+    assert _file_roundtrip(LexFn(1, f)).tilde == f
 
 
 # ------------------------------------------------------------------ LexFn
@@ -272,4 +282,4 @@ def test_meet_below_arguments(f, g):
 @settings(max_examples=100, deadline=None)
 @given(lex_fns())
 def test_json_roundtrip(f):
-    assert lexfn.from_json(lexfn.to_json(f)) == f
+    assert _file_roundtrip(f) == f

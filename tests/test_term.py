@@ -116,6 +116,18 @@ def test_parse_errors():
             parse(bad)
 
 
+def test_overlong_exponent_is_a_parse_error():
+    # int() refuses more digits than the interpreter's limit, which CI
+    # may run with off; the suffix "^(" starts at 6
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ParseError, match=r"5000 digits at 6$"):
+            parse("1 <= x^(" + "9" * 5000 + ") x")
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_sizes():
     assert term.equation_size(parse("x <= x^l")) == 3
     assert term.equation_size(parse("1 <= x")) == 2
