@@ -151,6 +151,9 @@ def _cmd_decide(args) -> int:
                 f"{'' if t == s else 'at least '}{digits} digits, more than "
                 f"sys.get_int_max_str_digits() = {limit} lets the verdict "
                 f"print")
+        if s > decide.DLP_MAX_SIZE:
+            raise _UsageError(f"--theory dlp: size s = {s} is past "
+                              f"decide.DLP_MAX_SIZE = {decide.DLP_MAX_SIZE}")
         verdict = decide.decide_dlp(eq, complete=args.complete,
                                     budget=args.budget)
     else:

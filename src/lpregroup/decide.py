@@ -114,6 +114,8 @@ DEFAULT_NODE_BUDGET = 2_000_000
 # before the search at n > 1, the one that cuts it included; at most
 # half the budget when that is less
 PERIOD_ONE_SLICE = 256
+# the largest equation size decide_dlp takes: its period has 30,123 digits
+DLP_MAX_SIZE = 100_000
 
 FnPoint = Union[int, tuple[Fraction, int]]
 
@@ -152,9 +154,11 @@ class Witness:
 # a JSON integer, an array a JSON array, and a rational a JSON integer or
 # the string str() gives a Fraction.  Fraction itself would also take
 # "1e3", "1.5" or " 1", and "1e999999999" would build a billion-digit
-# number, so a rational string must match _RATIONAL first.
+# number, so a rational string must match _RATIONAL first ([0-9], as \d
+# takes "١").  Its digit runs stop at Python's default int-to-str limit:
+# Fraction converts a longer one in quadratic time where that limit is off.
 
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")  # not \d: "١" is a digit
+_RATIONAL = re.compile(r"-?[0-9]{1,4300}(?:/[0-9]{1,4300})?")
 
 
 def _int(v) -> int:
@@ -425,8 +429,7 @@ def _decide(eq: Union[Equation, str], n: int, complete: bool,
                     stats["renamed_conjuncts"] += 1
                     continue
                 decided.add(key)
-                for cand in enumerate_failing(conj, require_failure=True,
-                                              budget=nb, n=d):
+                for cand in enumerate_failing(conj, nb, d):
                     stats["failing_candidates"] += 1
                     used, t_embed = nb.used, time.perf_counter()
                     where = "embedding"
@@ -522,8 +525,12 @@ def decide_dlp(eq: Union[Equation, str], complete: bool = False,
     function has one step per chain point.  Modes and budgets are as in
     decide_lpn.  Only this period makes a valid verdict a proof about
     DLP.  A fails verdict from decide_lpn at any period also refutes the
-    equation in DLP, because LP_n is contained in DLP."""
+    equation in DLP, because LP_n is contained in DLP.  Raises ValueError
+    for a size past DLP_MAX_SIZE, before the period is built."""
     eqobj = term.parse(eq) if isinstance(eq, str) else eq
     s = term.equation_size(eqobj)
+    if s > DLP_MAX_SIZE:
+        raise ValueError(f"equation size {s} is past DLP_MAX_SIZE = "
+                         f"{DLP_MAX_SIZE}, too large to build its period")
     return decide_lpn(eqobj, (1 << s) * s ** 4, complete=complete,
                       budget=budget)

@@ -1,5 +1,5 @@
-"""Guided enumeration of the finite witness spaces behind the two
-decision procedures.
+"""Guided enumeration of the failing candidates at a period n behind
+the two decision procedures; both enumerators take (eq, budget, n).
 
 Both searches build weak orders one element at a time (_WeakOrder): a
 new element joins an existing class or opens a class in a gap between
@@ -10,20 +10,21 @@ their decorated padding), adding them in dependency order, and lets the
 order induce everything else: the partial function of each variable
 collects the pairs (value(u), value(x u)), and each +/- decoration
 forces its point into the class next to its parent's, designating that
-cover.  Conditions checked along the way:
+cover.  A candidate fails: every joinand sits strictly below the unit.
+Conditions checked along the way:
 
   (i)   each induced partial function is functional and order-preserving;
   (ii)  decorated points sit exactly one step from their parents;
   (iii) inverse applications agree with the bracket inverses computed from
         the induced functions and covers.
 
-Condition (iii) is enforced through equivalent two-sided order
-constraints between points that are always present in the point set (see
-_point_table), which prune long before the brackets themselves become
-defined; every completed assignment still gets a full bracket recheck.
+The failure and conditions (ii) and (iii) are order constraints between
+points always present in the point set (see _point_table), which prune
+long before the brackets themselves become defined; every completed
+assignment still gets a full bracket recheck.
 
-Given a period n, the plain search also prunes by a necessary condition
-for an n-periodic spacing embedding, the one the deciders search next:
+The plain search also prunes by a necessary condition for an
+n-periodic spacing embedding, the one the deciders search next:
 
   (iv)  for two pairs (x1, y1), (x2, y2) of one variable's function, with
         x1 < x2, X = e(x2) - e(x1) and Y = e(y2) - e(y1) under the
@@ -37,7 +38,7 @@ plain application is refused when, against an earlier pair of its
 variable, X is shut and ceil(gaps(Y)/n) > ceil(X/n), or Y is shut and
 floor(gaps(X)/n) > floor(Y/n): no completion has an embedding.  Only the
 pairs of the point just placed are tested; a gap that shuts later does
-not recheck the pairs across it.  Without n nothing is pruned.
+not recheck the pairs across it.
 
 The same test is sound for the partition search, whose embedding makes
 each block's slot function n-periodic on the shared slot chain.  A shut
@@ -101,12 +102,12 @@ class PartitionDiagram:
 
 # ----------------------------------------------------------- point plumbing
 
-def _point_table(eq: IntensionalEquation,
-                 budget: Optional[NodeBudget] = None):
-    """Points in dependency order plus the structural edges to check:
-    (pts, info, joinands, bracket_edges, sandwiches), the sandwiches as
-    index triples (a, b, strict) for value(a) < value(b), or <= when not
-    strict.
+def _point_table(eq: IntensionalEquation, budget: Optional[NodeBudget]):
+    """Points in dependency order, the unit first, plus the structural
+    edges to check: (pts, info, bracket_edges, relations), the relations
+    as index triples (a, b, k) for value(b) - value(a) >= k: each
+    sandwich below, each cover mate one step from its parent on its side,
+    and each nonempty joinand below the unit.
 
     Each inverse application P = x^(m) U also yields two order constraints
     equivalent to its bracket equation.  The point set always contains the
@@ -144,9 +145,13 @@ def _point_table(eq: IntensionalEquation,
             return "cov"
         return "app0" if p[0][2] == 0 else "app"
 
-    sw_pts = []  # (a, b, strict): value(a) < value(b), or <= if not
+    rel_pts = []  # (a, b, k): value(b) - value(a) >= k
     ends: set[Point] = set()  # each sandwich's point below its parent
     for c in points:
+        if op_kind(c) == "cov":  # one step from the parent on side s
+            s = c[0][1]
+            rel_pts += [(c[1:], c, s), (c, c[1:], -s)]
+            continue
         if op_kind(c) != "app":
             continue
         _, name, m = c[0]
@@ -157,8 +162,9 @@ def _point_table(eq: IntensionalEquation,
         else:
             lo = (("app", name, m + 1),) + c
             hi = (("app", name, m + 1), ("cov", +1)) + c
-        sw_pts += [(lo, parent, m > 0), (parent, hi, m < 0)]
+        rel_pts += [(lo, parent, int(m > 0)), (parent, hi, int(m < 0))]
         ends |= {lo, hi}
+    rel_pts += [(point_of_word(w), (), 1) for w in eq.joinands if w]
 
     # the next point is the eligible one (parent placed) with the least
     # key; each point enters the heap once, when its parent is placed
@@ -183,20 +189,16 @@ def _point_table(eq: IntensionalEquation,
     info = []
     for p in pts:
         if not p:
-            info.append(("unit", None, None, None))
-            continue
-        op, parent = p[0], index[p[1:]]
-        if op[0] == "cov":
-            info.append(("cov", parent, None, op[1]))
+            info.append(("unit", None, None))
+        elif p[0][0] == "cov":
+            info.append(("cov", index[p[1:]], None))
         else:
-            _, name, m = op
-            info.append(("app", parent, (name, m), None))
-    joinands = {index[point_of_word(w)] for w in eq.joinands}
+            info.append(("app", index[p[1:]], p[0][1:]))
     bracket_edges = [(parent, i, extra[0], extra[1])
-                     for i, (kind, parent, extra, _) in enumerate(info)
+                     for i, (kind, parent, extra) in enumerate(info)
                      if kind == "app" and extra[1] != 0]
-    sandwiches = [(index[a], index[b], strict) for a, b, strict in sw_pts]
-    return pts, info, joinands, bracket_edges, sandwiches
+    relations = [(index[a], index[b], k) for a, b, k in rel_pts]
+    return pts, info, bracket_edges, relations
 
 
 # ----------------------------------------------------------- weak orders
@@ -299,48 +301,41 @@ def _depth_first(depth: int, options, put, take, leaf,
 
 # --------------------------------------------------- plain chain enumeration
 
-def _plain_assignments(table, require_failure: bool,
-                       budget: Optional[NodeBudget] = None,
-                       n: Optional[int] = None
+def _plain_assignments(table, budget: Optional[NodeBudget], n: int
                        ) -> Iterator[tuple[int, list[int], set, dict]]:
-    """Assignments of the points of a _point_table onto chains 0..q-1,
-    each a weak order of the points built in table order.
+    """Failing assignments of the points of a _point_table onto chains
+    0..q-1, each a weak order of the points built in table order.
 
-    Every point's place is bounded by the points already placed: its
-    sandwich partners, the unit above the joinands in failure mode, the
-    earlier plain applications of its variable (order preservation), and
-    for a cover mate the two places next to its parent on its side.
-    There is one pass per chain size q, q ascending, so capped runs meet
-    small chains first: a point opens a class only while there are fewer
-    than q, and joins one only while the points left can still open the
-    rest, so every leaf has exactly q classes.  With a period n, a plain
-    application whose pair breaks condition (iv) against an earlier pair
-    of its variable is refused (module docstring).  Leaves read covers
-    and functions off the ranks and recheck every bracket equation.
-    Yields (q, values, covers, fns)."""
-    pts, info, joinands, bracket_edges, sandwiches = table
+    Every point's place is bounded by the points already placed: by each
+    relation of the table whose other point is placed, and by the earlier
+    plain applications of its variable (order preservation).  There is
+    one pass per chain size q, q ascending, so capped runs meet small
+    chains first: a point opens a class only while there are fewer than
+    q, and joins one only while the points left can still open the rest,
+    so every leaf has exactly q classes.  A plain application whose pair
+    breaks condition (iv) at period n against an earlier pair of its
+    variable is refused (module docstring).  Leaves read covers and
+    functions off the ranks and recheck every bracket equation.  Yields
+    (q, values, covers, fns)."""
+    pts, info, bracket_edges, relations = table
     npts = len(pts)
     # per point, the earlier points bounding its place from below and
     # from above: place >= at[j] + s for (j, s) in below, place <= at[j]
-    # - s for (j, s) in above.  The unit is point 0, so in failure mode
-    # every other joinand gets the unit as a strict upper bound.
+    # - s for (j, s) in above.  A value difference k is a place offset s
+    # of 2k - 1 for k >= 1 (a new class suffices), or 2k for k <= 0.
     below: list[list] = [[] for _ in pts]
     above: list[list] = [[] for _ in pts]
+    for a, b, k in relations:  # filed at the later of the two
+        s = 2 * k - (k > 0)
+        if a < b:
+            below[b].append((a, s))
+        else:
+            above[a].append((b, s))
     # per plain application, the earlier ones of its variable
     earlier: list[list] = [[] for _ in pts]
     apps: dict[str, list] = {}
-    for a, b, strict in sandwiches:  # filed at the later of the two
-        if a < b:
-            below[b].append((a, strict))
-        else:
-            above[a].append((b, strict))
-    for i, (kind, parent, extra, s) in enumerate(info):
-        if require_failure and i in joinands and i > 0:
-            above[i].append((0, 1))
-        if kind == "cov":  # the two places next to the parent on side s
-            below[i].append((parent, min(s, 2 * s)))
-            above[i].append((parent, -max(s, 2 * s)))
-        elif kind == "app" and extra[1] == 0:
+    for i, (kind, parent, extra) in enumerate(info):
+        if kind == "app" and extra[1] == 0:
             earlier[i] = list(apps.get(extra[0], ()))
             apps.setdefault(extra[0], []).append((parent, i))
     wo = _WeakOrder()
@@ -370,7 +365,7 @@ def _plain_assignments(table, require_failure: bool,
     def leaf():
         val = wo.ranks()
         covers, fns = set(), {}
-        for i, (kind, parent, extra, _) in enumerate(info):
+        for i, (kind, parent, extra) in enumerate(info):
             if kind == "cov":
                 c = min(val[i], val[parent])
                 covers.add((c, c + 1))
@@ -383,13 +378,13 @@ def _plain_assignments(table, require_failure: bool,
         return q, val, covers, fns
 
     mates = [parent if kind == "cov" else None
-             for kind, parent, _, _ in info]
+             for kind, parent, _ in info]
 
     shut = wo.shut
 
     def put(i: int, p: int) -> bool:
         wo.put(p, mates[i])
-        if n is None or not earlier[i]:
+        if not earlier[i]:
             return True
         x, y = at[info[i][1]], at[i]
         for pj, j in earlier[i]:
@@ -411,23 +406,18 @@ def _plain_assignments(table, require_failure: bool,
 
 
 def enumerate_compatible_surjections(
-        eq: IntensionalEquation,
-        require_failure: bool = False,
-        budget: Optional[NodeBudget] = None,
-        n: Optional[int] = None) -> Iterator[PartitionDiagram]:
-    """All compatible surjections onto 0..q-1, q ascending, as one-block
-    diagrams: phi sends a point to (0, value).  With require_failure,
-    prune to assignments that put every joinand strictly below the unit.
-    With a period n, also prune to assignments that pass condition (iv),
-    so that only surjections with no n-periodic spacing embedding are
-    dropped."""
-    return _diagrams(eq, require_failure, budget, n, _one_block)
+        eq: IntensionalEquation, budget: Optional[NodeBudget],
+        n: int) -> Iterator[PartitionDiagram]:
+    """The failing compatible surjections onto 0..q-1 at period n, q
+    ascending, as one-block diagrams: phi sends a point to (0, value).
+    Only surjections with no n-periodic spacing embedding are dropped by
+    condition (iv)."""
+    return _diagrams(eq, budget, n, _one_block)
 
 
 # -------------------------------------------------- block grid enumeration
 
-def _structurings(q: int, covers, fns,
-                  budget: Optional[NodeBudget] = None
+def _structurings(q: int, covers, fns, budget: Optional[NodeBudget]
                   ) -> Iterator[tuple[list, list, int, int]]:
     """All ways to restructure the chain 0..q-1 as a block grid: cut it
     into consecutive blocks and spread each block's elements, in order,
@@ -476,21 +466,19 @@ def _structurings(q: int, covers, fns,
     yield from _depth_first(q, options, put, wo.take, leaf, budget)
 
 
-def _one_block(q: int, covers, fns, budget: Optional[NodeBudget] = None):
+def _one_block(q: int, covers, fns, budget: Optional[NodeBudget]):
     """The chain 0..q-1 as a single block: no choice, so no node."""
     return [([0] * q, range(q), 1, q)]
 
 
-def _diagrams(eq: IntensionalEquation, require_failure: bool,
-              budget: Optional[NodeBudget], n: Optional[int],
+def _diagrams(eq: IntensionalEquation, budget: Optional[NodeBudget], n: int,
               structurings) -> Iterator[PartitionDiagram]:
     """Every plain assignment, lifted through every structuring of its
     chain that structurings(q, covers, fns, budget) yields, as the
     diagram it poses.  Blocks and slots are named by their final ranks,
     and each cover of the assignment becomes a cover of the slot chain."""
     table = _point_table(eq, budget)
-    for q, values, covers, fns in _plain_assignments(table, require_failure,
-                                                     budget, n):
+    for q, values, covers, fns in _plain_assignments(table, budget, n):
         for blk, slt, _, d in structurings(q, covers, fns, budget):
             phi = {p: (blk[values[i]], slt[values[i]])
                    for i, p in enumerate(table[0])}
@@ -511,20 +499,18 @@ def _diagrams(eq: IntensionalEquation, require_failure: bool,
 
 
 def enumerate_partition_diagrams(
-        eq: IntensionalEquation,
-        require_failure: bool = False,
-        budget: Optional[NodeBudget] = None,
-        n: Optional[int] = None) -> Iterator[PartitionDiagram]:
-    """All block-grid diagrams, each exactly once.
+        eq: IntensionalEquation, budget: Optional[NodeBudget],
+        n: int) -> Iterator[PartitionDiagram]:
+    """The failing block-grid diagrams at period n, each exactly once.
 
     Ranking the occupied cells of a grid diagram flattens it to a plain
     compatible surjection with the same covers, functions, and order
     relations (covers stay adjacent because nothing sits between two
     cells of one cover, and brackets only compare occupied cells), and
     the diagram is recovered from that surjection by a unique
-    structuring.  So the stream is: every compatible surjection, lifted
-    through every structuring of its chain.  A period n prunes as in
-    enumerate_compatible_surjections: no structuring of a dropped
-    surjection has a shared n-periodic slot embedding (module
-    docstring)."""
-    return _diagrams(eq, require_failure, budget, n, _structurings)
+    structuring.  So the stream is: every failing compatible surjection
+    at period n, lifted through every structuring of its chain.  The
+    period prunes as in enumerate_compatible_surjections: no structuring
+    of a dropped surjection has a shared n-periodic slot embedding
+    (module docstring)."""
+    return _diagrams(eq, budget, n, _structurings)

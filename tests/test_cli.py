@@ -212,6 +212,30 @@ def test_dlp_period_past_the_int_to_str_limit_exits_three(capsys,
     assert json.loads(out)["n"] == 2 ** 14229 * 14229 ** 4
 
 
+_DLP_HUGE = """
+import contextlib, io, resource
+from lpregroup import cli
+limit = 512 * 1024 * 1024
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = cli.main(["decide", "--theory", "dlp", "--budget", "100",
+                     "1 <= x^(100000000000) x"])
+print(code, "Traceback" in err.getvalue(), "DLP_MAX_SIZE" in err.getvalue())
+"""
+
+
+def test_dlp_size_past_the_bound_exits_three_with_the_limit_off():
+    # with no int-to-str limit the digit check passes, and building the
+    # period 2^s * s^4 raised MemoryError (exit 4) under this limit
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="0",
+               PYTHONPATH=os.path.dirname(os.path.dirname(decide.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _DLP_HUGE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["3", "False", "True"]
+
+
 def test_complete_warning_only_without_a_budget(capsys):
     argv = ("decide", "--theory", "dlp", "--complete", "1 <= x")
     assert "warning" in run(capsys, *argv)[2]

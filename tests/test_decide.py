@@ -532,6 +532,27 @@ print(json.dumps(v.to_json()))
 """
 
 
+_DLP_HUGE = """
+import resource
+from lpregroup import decide
+limit = 512 * 1024 * 1024
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+try:
+    decide.decide_dlp("1 <= x^(100000000000) x", budget=100)
+except ValueError as e:
+    print("refused", e)
+"""
+
+
+def test_dlp_refuses_a_size_past_its_bound_before_the_period():
+    # 2^s alone would take 12.5 GB at s = 10^11 + 3; MemoryError under
+    # the limit, whatever the int-to-str limit says
+    run, = _run_child(_DLP_HUGE, timeout=60)
+    assert run.startswith("refused") and "DLP_MAX_SIZE" in run
+    # the largest size the default int-to-str limit lets the CLI print
+    assert decide.DLP_MAX_SIZE >= 14_229
+
+
 def test_capped_dlp_realizes_at_the_reduced_period():
     # s = 6, so N = 2^6 * 6^4 = 82,944, and the equation holds at period
     # 1; realization used to rebuild a whole period per literal, O(N^2)
@@ -883,6 +904,25 @@ def test_witness_from_json_reads_the_written_rationals(path):
     assert loaded["4"] == loaded[4]
     if path[0] == "point":
         assert loaded["-3/2"].point[0] == Fraction(-3, 2)
+
+
+def test_witness_from_json_refuses_a_long_digit_run_at_once():
+    # with the int-to-str limit off, Fraction converted 400,000 digits in
+    # about a second (quadratic in the length); the reader stops at
+    # Python's default limit, so nothing that reads there is refused
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        path = ("assignment", "x", "components", 0, "j")
+        data = _lex_witness_with(path, "9" * 400_000)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="expected a rational"):
+            witness_from_json(data)
+        assert time.perf_counter() - t0 < 0.1
+        w = witness_from_json(_lex_witness_with(path, "9" * 4300))
+        assert w.assignment["x"].components[0][0] == int("9" * 4300)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_evaluation_goes_through_the_algebra_modules(monkeypatch):

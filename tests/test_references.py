@@ -15,12 +15,17 @@ references catch that:
   A witness the deciders find at period 1 for a verdict at n, read as
   the same maps with period n, must verify at n.
 
+- The joins of the paper: the varieties V(F_n(Z)) join to DLP, as the
+  LP_n do.  So an equation that fails in DLP fails in some F_n(Z), and
+  one valid in DLP is valid in every F_n(Z).
+
 The inclusion F_n(Z) in LP_n is strict at n = 1 (commutativity).  At
 n = 2, 1 <= y^(-1) x^(1) | y x fails in lpn with a verified witness,
 while neither the oracle nor the capped fnz decider refutes it in
 F_2(Z): an lpn decider that collapsed to fnz would not fail it.
 """
 
+import collections
 import dataclasses
 import sys
 from fractions import Fraction
@@ -116,6 +121,30 @@ def test_inclusions_between_the_theories():
                                      f"fails in {t2} at {n2}")
             checked += premise == VALID and conclusion == VALID
     assert checked > 100
+
+
+def test_dlp_verdicts_reach_the_integer_functions():
+    eqs = sorted({case.eq
+                  for case in random_cases(7, 600) + random_cases(11, 600)})
+    first_failing = collections.Counter()
+    valid = 0
+    for eq in eqs:
+        status = decide.decide_dlp(eq, budget=20_000).status
+        if status == FAILS:
+            # every draw that fails in DLP already fails at n = 1 or 2
+            for n in (1, 2):
+                v = decide.decide_fnz(eq, n, budget=20_000)
+                if v.status == FAILS:
+                    break
+            assert v.status == FAILS, eq
+            assert decide.verify_witness(eq, v.witness)
+            first_failing[n] += 1
+        elif status == VALID:
+            assert all(decide.decide_fnz(eq, n, budget=20_000).status
+                       != FAILS for n in (1, 2, 3)), eq
+            valid += 1
+    assert len(eqs) == 792
+    assert first_failing[1] > 700 and first_failing[2] > 0 and valid > 40
 
 
 def _with_period(f, n: int):

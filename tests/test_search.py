@@ -1,5 +1,6 @@
 """Enumeration tests: the guided searches must agree exactly with brute
-force over all onto assignments checked straight from the definitions."""
+force over all failing onto assignments checked straight from the
+definitions."""
 
 import heapq
 import itertools
@@ -32,6 +33,14 @@ def fails_in(cand, eq):
 
 def sorted_points(eq):
     return sorted(term.delta_epsilon(eq), key=lambda p: (len(p), p))
+
+
+def unpruned(eq):
+    """A period at which condition (iv) prunes nothing: the point count.
+    Every segment then spans fewer than n gaps, so both ceilings are at
+    most 1 and both floors are 0.  A shut X of 0 gaps is one argument
+    class, and order preservation then puts Y in one class too."""
+    return len(term.delta_epsilon(eq))
 
 
 # ------------------------------------------------------- definition oracle
@@ -87,19 +96,31 @@ def oracle_ok(pts, phi, slots=None):
     return True
 
 
+def values_fail(pts, values, eq):
+    """Whether values, listed in the order of pts, put every joinand
+    strictly below the unit."""
+    val = dict(zip(pts, values))
+    return all(val[term.point_of_word(w)] < val[()] for w in eq.joinands)
+
+
 def brute_surjections(eq):
+    """(q, values) of every failing compatible surjection, values in the
+    order of sorted_points."""
     pts = sorted_points(eq)
     found = set()
     for q in range(1, len(pts) + 1):
         for values in itertools.product(range(q), repeat=len(pts)):
             if set(values) != set(range(q)):
                 continue
-            if oracle_ok(pts, dict(zip(pts, values))):
+            if (values_fail(pts, values, eq)
+                    and oracle_ok(pts, dict(zip(pts, values)))):
                 found.add((q, values))
     return found
 
 
 def brute_partitions(eq):
+    """(b, d, flat values) of every failing block-grid diagram; the flat
+    order block * d + slot is the grid's lexicographic order."""
     pts = sorted_points(eq)
     found = set()
     for b in range(1, len(pts) + 1):
@@ -109,7 +130,8 @@ def brute_partitions(eq):
                     continue
                 if {v % d for v in values} != set(range(d)):
                     continue
-                if oracle_ok(pts, dict(zip(pts, values)), slots=d):
+                if (values_fail(pts, values, eq)
+                        and oracle_ok(pts, dict(zip(pts, values)), slots=d)):
                     found.add((b, d, values))
     return found
 
@@ -117,7 +139,7 @@ def brute_partitions(eq):
 def engine_surjections(eq):
     pts = sorted_points(eq)
     out = []
-    for cs in enumerate_compatible_surjections(eq):
+    for cs in enumerate_compatible_surjections(eq, None, unpruned(eq)):
         out.append((cs.chain.size, tuple(cs.phi[p][1] for p in pts)))
     return out
 
@@ -141,29 +163,46 @@ def flat_fns(pd):
 
 def engine_partitions(eq):
     pts = sorted_points(eq)
-    return [grid_key(pd, pts) for pd in enumerate_partition_diagrams(eq)]
+    return [grid_key(pd, pts)
+            for pd in enumerate_partition_diagrams(eq, None, unpruned(eq))]
 
 
 # ------------------------------------------------------ compatible surjections
 
-def test_one_leq_x_has_exactly_three_surjections():
-    eq = conjunct("1 <= x")
-    got = engine_surjections(eq)
-    assert sorted(got) == [(1, (0, 0)), (2, (0, 1)), (2, (1, 0))]
+_SURJECTION_CORPUS = ["1 <= x", "1 <= x x", "1 <= x y", "1 <= x | y",
+                      "1 <= x^l", "1 <= x^(-1) x", "1 <= x^l x", "1 <= x x^r"]
 
 
 def test_surjections_match_bruteforce():
-    for text in ["1 <= x", "1 <= x x", "1 <= x y",
-                 "1 <= x^l", "1 <= x^(-1) x"]:
+    compared = 0
+    for text in _SURJECTION_CORPUS:
         for eq in conjuncts(text):
             got = engine_surjections(eq)
             assert len(got) == len(set(got)), text
             assert set(got) == brute_surjections(eq), text
+            compared += len(got)
+    assert compared >= 40
+
+
+def test_relations_hold_on_every_failing_surjection():
+    # each relation of the table is a fact about every failing candidate,
+    # so none may cut one away
+    checked = 0
+    for text in _SURJECTION_CORPUS:
+        for eq in conjuncts(text):
+            pts, _, _, relations = search._point_table(eq, None)
+            for _, values in brute_surjections(eq):
+                val = dict(zip(sorted_points(eq), values))
+                for a, b, k in relations:
+                    assert val[pts[b]] - val[pts[a]] >= k, (text, values)
+                checked += 1
+    assert checked >= 40
 
 
 def test_surjection_stream_q_ascending():
+    eq = conjunct("1 <= x^l")
     qs = [cs.chain.size
-          for cs in enumerate_compatible_surjections(conjunct("1 <= x^l"))]
+          for cs in enumerate_compatible_surjections(eq, None, unpruned(eq))]
     assert qs and qs == sorted(qs)
 
 
@@ -171,37 +210,22 @@ def test_no_failing_surjection_for_pregroup_laws():
     for text in ["1 <= x^(-1) x", "1 <= x x^l"]:
         eq = conjunct(text)
         assert list(enumerate_compatible_surjections(
-            eq, require_failure=True)) == []
-        assert not any(fails_in(cs, eq)
-                       for cs in enumerate_compatible_surjections(eq))
+            eq, None, unpruned(eq))) == []
 
 
 def test_failing_surjections_for_one_leq_x():
     eq = conjunct("1 <= x")
-    failing = list(enumerate_compatible_surjections(eq, require_failure=True))
+    failing = list(enumerate_compatible_surjections(eq, None, unpruned(eq)))
     assert len(failing) == 1
     cs = failing[0]
     assert fails_in(cs, eq)
     assert cs.chain.size == 2 and cs.phi[()][1] == 1
 
 
-def test_require_failure_equals_filtered_stream():
-    for text in ["1 <= x y", "1 <= x^l"]:
-        eq = conjunct(text)
-        pts = sorted_points(eq)
-        def key(cs):
-            return (cs.chain.size, tuple(cs.phi[p] for p in pts))
-        want = {key(cs) for cs in enumerate_compatible_surjections(eq)
-                if fails_in(cs, eq)}
-        got = {key(cs) for cs in
-               enumerate_compatible_surjections(eq, require_failure=True)}
-        assert got == want, text
-
-
 # --------------------------------------------------------- partition diagrams
 
 def test_partitions_match_bruteforce():
-    for text in ["1 <= x", "1 <= x x", "1 <= x y"]:
+    for text in ["1 <= x", "1 <= x x", "1 <= x y", "1 <= x | y"]:
         for eq in conjuncts(text):
             got = engine_partitions(eq)
             assert len(got) == len(set(got)), text
@@ -212,7 +236,8 @@ def test_partition_diagrams_wellformed():
     eq = conjunct("1 <= x^l")
     pts = sorted_points(eq)
     count = 0
-    for pd in itertools.islice(enumerate_partition_diagrams(eq), 300):
+    for pd in itertools.islice(
+            enumerate_partition_diagrams(eq, None, unpruned(eq)), 300):
         count += 1
         b, d, values = grid_key(pd, pts)
         flat = dict(zip(pts, values))
@@ -245,7 +270,8 @@ def test_partition_bracket_blocks_alternate():
     eq = conjunct("1 <= x^l")
     pts = sorted_points(eq)
     seen = 0
-    for pd in itertools.islice(enumerate_partition_diagrams(eq), 300):
+    for pd in itertools.islice(
+            enumerate_partition_diagrams(eq, None, unpruned(eq)), 300):
         _, d, values = grid_key(pd, pts)
         fns, covers = induced(pts, dict(zip(pts, values)))
         for name, per in pd.blocks.items():
@@ -258,14 +284,9 @@ def test_partition_bracket_blocks_alternate():
 
 def test_failing_partition_diagrams_for_one_leq_x():
     eq = conjunct("1 <= x")
-    failing = list(enumerate_partition_diagrams(eq, require_failure=True))
+    failing = list(enumerate_partition_diagrams(eq, None, unpruned(eq)))
     assert failing
     assert all(fails_in(pd, eq) for pd in failing)
-    # and they are exactly the failing members of the full stream
-    pts = sorted_points(eq)
-    want = {grid_key(pd, pts) for pd in enumerate_partition_diagrams(eq)
-            if fails_in(pd, eq)}
-    assert {grid_key(pd, pts) for pd in failing} == want
 
 
 def test_xl_xr_failing_diagram_periodic_at_2_not_1():
@@ -277,7 +298,7 @@ def test_xl_xr_failing_diagram_periodic_at_2_not_1():
     assert len(eqs) == 2
     eq = next(e for e in eqs
               if e.joinands == ((("x", 0), ("x", -1)),))
-    failing = list(enumerate_partition_diagrams(eq, require_failure=True))
+    failing = list(enumerate_partition_diagrams(eq, None, unpruned(eq)))
     assert failing
     found2 = False
     for pd in failing:
@@ -296,23 +317,22 @@ def test_xl_xr_failing_diagram_periodic_at_2_not_1():
 #
 # The enumerators as they were before they built weak orders: absolute
 # values 0..q-1 and slots 0..d-1, one DFS per chain size and slot count.
-# Kept verbatim as the reference for the weak-order streams.
+# Kept as the reference for the weak-order streams; the plain one reads
+# the table's relations as value bounds.
 
-def _plain_assignments_by_value(table, require_failure: bool,
-                                budget: Optional[NodeBudget] = None
+def _plain_assignments_by_value(table, budget: Optional[NodeBudget] = None
                                 ) -> Iterator[tuple[int, list[int], set,
                                                     dict]]:
-    """Assignments of the points of a _point_table onto 0..q-1, for every
-    chain size q up to the point count, q ascending (the closures below
-    read q from the loop at the end)."""
-    pts, info, joinands, bracket_edges, sandwich_list = table
-    sandwiches: dict[int, list] = {}  # each sandwich under both its points
-    for con in sandwich_list:
-        sandwiches.setdefault(con[0], []).append(con)
-        sandwiches.setdefault(con[1], []).append(con)
+    """Failing assignments of the points of a _point_table onto 0..q-1,
+    for every chain size q up to the point count, q ascending (the
+    closures below read q from the loop at the end)."""
+    pts, info, bracket_edges, relation_list = table
+    relations: dict[int, list] = {}  # each relation under both its points
+    for rel in relation_list:
+        relations.setdefault(rel[0], []).append(rel)
+        relations.setdefault(rel[1], []).append(rel)
     npts = len(pts)
     val: list[Optional[int]] = [None] * npts
-    unit = next(i for i, (kind, *_) in enumerate(info) if kind == "unit")
     fns: dict[str, dict[int, int]] = {}
     fn_count: dict[str, dict[tuple[int, int], int]] = {}
     covers: dict[tuple[int, int], int] = {}
@@ -327,27 +347,19 @@ def _plain_assignments_by_value(table, require_failure: bool,
 
     def bounds(i: int) -> tuple[int, int]:
         """Feasible value interval for point i given what is placed: the
-        sandwich partners already assigned, and in failure mode the unit
-        above the joinands."""
+        relation partners already assigned."""
         lb, ub = 0, q - 1
-        for a, b, strict in sandwiches.get(i, ()):
+        for a, b, k in relations.get(i, ()):
             if b == i and val[a] is not None:
-                lb = max(lb, val[a] + strict)
+                lb = max(lb, val[a] + k)
             elif a == i and val[b] is not None:
-                ub = min(ub, val[b] - strict)
-        if require_failure:
-            if i == unit:
-                for j in joinands:
-                    if val[j] is not None:
-                        lb = max(lb, val[j] + 1)
-            elif i in joinands and val[unit] is not None:
-                ub = min(ub, val[unit] - 1)
+                ub = min(ub, val[b] - k)
         return lb, ub
 
     def assign(i: int, v: int):
         val[i] = v
         used[v] = used.get(v, 0) + 1
-        kind, parent, extra, _ = info[i]
+        kind, parent, extra = info[i]
         if kind == "cov":
             a = min(v, val[parent])
             covers[(a, a + 1)] = covers.get((a, a + 1), 0) + 1
@@ -363,7 +375,7 @@ def _plain_assignments_by_value(table, require_failure: bool,
         used[v] -= 1
         if not used[v]:
             del used[v]
-        kind, parent, extra, _ = info[i]
+        kind, parent, extra = info[i]
         if kind == "cov":
             a = min(v, val[parent])
             covers[(a, a + 1)] -= 1
@@ -378,12 +390,7 @@ def _plain_assignments_by_value(table, require_failure: bool,
 
     def candidates(i: int):
         lb, ub = bounds(i)
-        kind, parent, extra, s = info[i]
-        if kind == "cov":
-            v = val[parent] + s
-            if lb <= v <= ub:
-                yield v
-            return
+        kind, parent, extra = info[i]
         if kind == "app" and extra[1] == 0:
             for v in range(lb, ub + 1):
                 if not order_clash(extra[0], val[parent], v):
@@ -495,18 +502,17 @@ def _records(stream):
 
 
 def assert_streams_match_reference(eq, max_structured_q=6):
-    table = search._point_table(eq)
-    for require_failure in (False, True):
-        stream = list(search._plain_assignments(table, require_failure,
-                                                n=None))
-        qs = [q for q, *_ in stream]
-        assert qs == sorted(qs)
-        assert _records(stream) == _records(
-            _plain_assignments_by_value(table, require_failure))
-    for q, _, covers, fns in stream:  # the failing candidates
+    table = search._point_table(eq, None)
+    # the reference does not test condition (iv), so compare the stream
+    # at a period where it prunes nothing
+    stream = list(search._plain_assignments(table, None, unpruned(eq)))
+    qs = [q for q, *_ in stream]
+    assert qs == sorted(qs)
+    assert _records(stream) == _records(_plain_assignments_by_value(table))
+    for q, _, covers, fns in stream:
         if q > max_structured_q:
             continue
-        got = sorted(map(repr, search._structurings(q, covers, fns)))
+        got = sorted(map(repr, search._structurings(q, covers, fns, None)))
         want = sorted(map(repr, _structurings_by_value(q, covers, fns)))
         assert len(got) == len(set(got))
         assert got == want
@@ -522,7 +528,7 @@ def test_search_alone_proves_the_expansion_laws(enumerate_failing, eq, n):
     # expands to the unit); run on the unreduced conjuncts, the search
     # must still find no failing candidate with an embedding
     for conj in conjuncts(eq):
-        for cand in enumerate_failing(conj, require_failure=True, n=n):
+        for cand in enumerate_failing(conj, None, n):
             assert spacing.find_witness_embedding(
                 cand.chain, cand.fns, n) is None
 
@@ -626,18 +632,28 @@ def _point_order_by_rekeying(eq):
 
 
 def assert_point_order_fixed(eq):
-    """The table's order is the re-keying reference's, and every sandwich
-    joins a point to a descendant two or three levels below it, placed
-    after it."""
-    pts, _, _, _, sandwiches = search._point_table(eq)
+    """The table's order is the re-keying reference's, and each relation
+    is of one of three kinds: a sandwich joins a point to a descendant two
+    or three levels below it, placed after it, with k 0 or 1; a cover
+    pair joins a cover mate to its parent, one step on the mate's side;
+    and a joinand lies strictly below the unit, point 0."""
+    pts, _, _, relations = search._point_table(eq, None)
     assert pts == _point_order_by_rekeying(eq)
-    assert sandwiches
-    for a, b, _ in sandwiches:
+    joinands = {pts.index(term.point_of_word(w)) for w in eq.joinands}
+    sandwiches = 0
+    for a, b, k in relations:
+        if (b, k) == (0, 1) and a in joinands:
+            continue
         top, low = sorted((a, b), key=lambda i: len(pts[i]))
         depth = len(pts[low]) - len(pts[top])
-        assert depth in (2, 3), (pts[a], pts[b])
         assert pts[low][depth:] == pts[top]
         assert top < low
+        if depth == 1:
+            assert pts[low][0] == ("cov", k if a == top else -k)
+        else:
+            assert depth in (2, 3) and k in (0, 1), (pts[a], pts[b])
+            sandwiches += 1
+    assert sandwiches
 
 
 def test_point_order_matches_rekeying_on_corpus():
@@ -673,9 +689,9 @@ def test_point_order_matches_rekeying_on_draws(eq):
 # ------------------------------------------------ shut-segment pruning
 #
 # With a period n the enumerators drop candidates by condition (iv).  The
-# unpruned stream (n=None) is the one compared with the references above;
-# here every candidate it has and the pruned stream lacks must have no
-# n-periodic embedding at the proof bound.
+# unpruned stream (at the period unpruned(eq)) is the one compared with
+# the references above; here every candidate it has and the pruned stream
+# lacks must have no n-periodic embedding at the proof bound.
 
 def _until_spent(stream):
     """The stream, cut where its node budget runs out."""
@@ -697,13 +713,11 @@ def assert_pruned_only_without_embedding(eq, nodes):
     for enumerate_ in (enumerate_compatible_surjections,
                        enumerate_partition_diagrams):
         nb = NodeBudget(nodes)
-        unpruned = list(_until_spent(
-            enumerate_(eq, require_failure=True, budget=nb)))
+        full = list(_until_spent(enumerate_(eq, nb, unpruned(eq))))
         for n in (1, 2, 3):
-            pruned = _until_spent(enumerate_(
-                eq, require_failure=True, budget=NodeBudget(nb.used), n=n))
+            pruned = _until_spent(enumerate_(eq, NodeBudget(nb.used), n))
             nxt = next(pruned, None)
-            for cand in unpruned:
+            for cand in full:
                 if nxt is not None and nxt.phi == cand.phi:
                     nxt = next(pruned, None)
                     continue
